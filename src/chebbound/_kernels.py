@@ -1,164 +1,28 @@
-"""Array kernels for the hot evaluation loops.
+"""Array kernels for the hot evaluation loops: Clenshaw and Horner in numpy.
 
-Every kernel exists in two versions: an explicit scalar loop that numba
-compiles with ``@njit``, and a vectorised numpy fallback.  The numba path is
-used when numba imports cleanly; setting the environment variable
-``CHEBBOUND_NO_NUMBA=1`` before import forces the numpy path.  Both versions
-of each kernel are kept importable so ``benchmarks/bench_kernels.py`` can
-time them against each other.
-
-All kernels take float64 arrays and are pure functions of their inputs.
+Each kernel runs a Python loop over the recurrence index with whole-array
+operations per step.  Both take float64 arrays and are pure functions of
+their inputs.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("CHEBBOUND_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
 
-HAS_NUMBA = False
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks: python loop over the recurrence index, array ops per step
-# ---------------------------------------------------------------------------
-
-def clenshaw_np(coeffs, xs):
+def clenshaw_kernel(coeffs, xs):
     """Backward Clenshaw recurrence for sum_j coeffs[j]*T_j at each x."""
+    # the array leads each step so numpy can reuse its temporaries
     b1 = np.zeros_like(xs)
     b2 = np.zeros_like(xs)
     for k in range(coeffs.shape[0] - 1, 0, -1):
-        b1, b2 = coeffs[k] + 2.0 * xs * b1 - b2, b1
-    return coeffs[0] + xs * b1 - b2
+        b1, b2 = 2.0 * xs * b1 + coeffs[k] - b2, b1
+    return xs * b1 + coeffs[0] - b2
 
 
-def cheb_t_np(n, xs):
-    """T_n at each x via the three-term recurrence."""
-    if n == 0:
-        return np.ones_like(xs)
-    tkm1 = np.ones_like(xs)
-    tk = xs.copy()
-    for _ in range(n - 1):
-        tkm1, tk = tk, 2.0 * xs * tk - tkm1
-    return tk
-
-
-def cheb_u_np(n, xs):
-    """U_n at each x; n = -1 yields the zero function."""
-    if n == -1:
-        return np.zeros_like(xs)
-    if n == 0:
-        return np.ones_like(xs)
-    ukm1 = np.ones_like(xs)
-    uk = 2.0 * xs
-    for _ in range(n - 1):
-        ukm1, uk = uk, 2.0 * xs * uk - ukm1
-    return uk
-
-
-def taylor_np(n, xs):
+def taylor_kernel(n, xs):
     """Degree-n Maclaurin partial sum of exp at each x (Horner form)."""
     v = np.ones_like(xs)
     for k in range(n, 0, -1):
         v = 1.0 + v * xs / k
     return v
-
-
-# ---------------------------------------------------------------------------
-# scalar-loop versions, compiled when numba is active
-# ---------------------------------------------------------------------------
-
-def _clenshaw_loop(coeffs, xs):
-    m = coeffs.shape[0]
-    out = np.empty_like(xs)
-    for i in range(xs.shape[0]):
-        x = xs[i]
-        b1 = 0.0
-        b2 = 0.0
-        for k in range(m - 1, 0, -1):
-            b1, b2 = coeffs[k] + 2.0 * x * b1 - b2, b1
-        out[i] = coeffs[0] + x * b1 - b2
-    return out
-
-
-def _cheb_t_loop(n, xs):
-    out = np.empty_like(xs)
-    for i in range(xs.shape[0]):
-        x = xs[i]
-        if n == 0:
-            out[i] = 1.0
-            continue
-        tkm1 = 1.0
-        tk = x
-        for _ in range(n - 1):
-            tkm1, tk = tk, 2.0 * x * tk - tkm1
-        out[i] = tk
-    return out
-
-
-def _cheb_u_loop(n, xs):
-    out = np.empty_like(xs)
-    for i in range(xs.shape[0]):
-        x = xs[i]
-        if n == -1:
-            out[i] = 0.0
-            continue
-        if n == 0:
-            out[i] = 1.0
-            continue
-        ukm1 = 1.0
-        uk = 2.0 * x
-        for _ in range(n - 1):
-            ukm1, uk = uk, 2.0 * x * uk - ukm1
-        out[i] = uk
-    return out
-
-
-def _taylor_loop(n, xs):
-    out = np.empty_like(xs)
-    for i in range(xs.shape[0]):
-        x = xs[i]
-        v = 1.0
-        for k in range(n, 0, -1):
-            v = 1.0 + v * x / k
-        out[i] = v
-    return out
-
-
-if HAS_NUMBA:
-    # fastmath stays off: bound checks downstream rely on IEEE semantics
-    clenshaw_nb = njit(cache=True)(_clenshaw_loop)
-    cheb_t_nb = njit(cache=True)(_cheb_t_loop)
-    cheb_u_nb = njit(cache=True)(_cheb_u_loop)
-    taylor_nb = njit(cache=True)(_taylor_loop)
-
-    clenshaw_kernel = clenshaw_nb
-    cheb_t_kernel = cheb_t_nb
-    cheb_u_kernel = cheb_u_nb
-    taylor_kernel = taylor_nb
-    BACKEND = "numba"
-else:
-    clenshaw_kernel = clenshaw_np
-    cheb_t_kernel = cheb_t_np
-    cheb_u_kernel = cheb_u_np
-    taylor_kernel = taylor_np
-    BACKEND = "numpy"
-
-
-def warm_up():
-    """Trigger JIT compilation of every kernel (no-op on the numpy path)."""
-    xs = np.array([0.5, -1.5])
-    cs = np.array([1.0, 0.5, 0.25])
-    clenshaw_kernel(cs, xs)
-    cheb_t_kernel(3, xs)
-    cheb_u_kernel(3, xs)
-    taylor_kernel(3, xs)

@@ -1,9 +1,11 @@
 """Chebyshev polynomial algebra on the whole real line.
 
-T_n and U_n are evaluated by their three-term recurrences (exact polynomial
-algebra, valid for any real x, not just [-1, 1]).  Series in the T basis are
-evaluated by the backward Clenshaw recurrence and differentiated through the
-identity T_n' = n U_{n-1} followed by the U-to-T expansion
+Series in the T basis are evaluated by the backward Clenshaw recurrence,
+which is exact polynomial algebra, valid for any real x, not just [-1, 1].
+T_n and U_n go through the same kernel, as the series with the unit
+coefficient vector e_n and as the U-to-T expansion below.  Series are
+differentiated through the identity T_n' = n U_{n-1} followed by the U-to-T
+expansion
 
     U_n = 2 (T_n + T_{n-2} + ...) - [n even],
 
@@ -50,29 +52,31 @@ def _as_points(x):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
+def _clenshaw(coeffs, x):
+    pts, scalar = _as_points(x)
+    out = _kernels.clenshaw_kernel(coeffs, pts)
+    return float(out[0]) if scalar else out
+
+
 def eval_T(n: int, x):
     """T_n(x) for n >= 0; accepts a scalar or an array of points."""
     if n < 0:
         raise DomainError("T_n needs n >= 0")
-    pts, scalar = _as_points(x)
-    out = _kernels.cheb_t_kernel(n, pts)
-    return float(out[0]) if scalar else out
+    e_n = np.zeros(n + 1)
+    e_n[n] = 1.0
+    return _clenshaw(e_n, x)
 
 
 def eval_U(n: int, x):
     """U_n(x) for n >= -1 (U_{-1} is identically 0); scalar or array."""
     if n < -1:
         raise DomainError("U_n needs n >= -1")
-    pts, scalar = _as_points(x)
-    out = _kernels.cheb_u_kernel(n, pts)
-    return float(out[0]) if scalar else out
+    return _clenshaw(np.array(u_to_t_coeffs(n), dtype=np.float64), x)
 
 
 def clenshaw_eval(s: ChebSeries, x):
     """Evaluate a T-basis series by Clenshaw's recurrence; scalar or array."""
-    pts, scalar = _as_points(x)
-    out = _kernels.clenshaw_kernel(s.coeffs, pts)
-    return float(out[0]) if scalar else out
+    return _clenshaw(s.coeffs, x)
 
 
 def differentiate_coeffs(coeffs):

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -27,15 +29,24 @@ from .expseries import (
     taylor_eval,
 )
 
-SWEEP_HEADER = "x,lower,upper,exp,taylor_lower,taylor_upper"
+SWEEP_COLUMNS = ("x", "lower", "upper", "exp", "taylor_lower", "taylor_upper")
+SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
+_SWEEP_BLOCK = 4096
+
+# argparse reads '-4' and '-.5' after an option as its value, but '-1e4' and
+# '-inf' as option strings; every valid x is below -1, so every float
+# spelling must be a value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chebbound",
         description="Two-sided polynomial brackets of exp(x) below -1 and their per-degree certificates.",
     )
@@ -75,34 +86,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
+def _cell(v) -> str:
+    if type(v) is float:
+        return format(v, ".17g")
+    if v is None:
+        return ""
+    if type(v) is bool:
+        return "true" if v else "false"
+    return str(v)
+
+
+def _emit_table(args, columns, rows, payload=None, default="csv") -> None:
+    """Write ``rows`` (tuples of Python values) as CSV or JSON.
+
+    CSV prints floats with 17 significant digits, None as an empty cell and
+    bools as true/false.  JSON writes ``payload`` if one is given, else one
+    object per row keyed by ``columns``.  The text goes to ``--output`` if
+    set, else to stdout.
+    """
+    if (args.format or default) == "json":
+        if payload is None:
+            payload = [dict(zip(columns, row)) for row in rows]
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        lines = [",".join(columns)]
+        lines.extend(",".join(map(_cell, row)) for row in rows)
+        text = "\n".join(lines) + "\n"
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", newline="") as handle:
+        with open(args.output, "w", newline="") as handle:
             handle.write(text)
-
-
-def _csv(header: str, rows: list[list[str]]) -> str:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _cmd_coeffs(args) -> int:
     if args.n < 0:
         raise DomainError("--n must be >= 0")
-    coeffs = exp_cheb_coefficients(args.n)
-    if (args.format or "csv") == "json":
-        payload = [{"index": i, "a": float(v)} for i, v in enumerate(coeffs)]
-        _emit(_json_text(payload), args.output)
-    else:
-        rows = [[str(i), _fmt(v)] for i, v in enumerate(coeffs)]
-        _emit(_csv("index,a", rows), args.output)
+    _emit_table(args, ("index", "a"), enumerate(exp_cheb_coefficients(args.n).tolist()))
     return 0
 
 
@@ -112,19 +132,9 @@ def _cmd_enclose(args) -> int:
     if not args.x < -1.0:
         raise DomainError("x must lie in (-inf, -1): the bracket is certified only below -1")
     enc = cheb_sandwich(args.n, args.x)
-    if (args.format or "csv") == "json":
-        payload = {
-            "x": enc.x,
-            "lower": enc.lower,
-            "upper": enc.upper,
-            "lower_degree": enc.lower_degree,
-            "upper_degree": enc.upper_degree,
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        header = "x,lower,upper,lower_degree,upper_degree"
-        row = [_fmt(enc.x), _fmt(enc.lower), _fmt(enc.upper), str(enc.lower_degree), str(enc.upper_degree)]
-        _emit(_csv(header, [row]), args.output)
+    columns = ("x", "lower", "upper", "lower_degree", "upper_degree")
+    row = (enc.x, enc.lower, enc.upper, enc.lower_degree, enc.upper_degree)
+    _emit_table(args, columns, [row], payload=dict(zip(columns, row)))
     return 0
 
 
@@ -144,39 +154,22 @@ def _cmd_sweep(args) -> int:
     if not args.x_min < args.x_max:
         raise DomainError("--x-min must be < --x-max")
     grid = _sweep_grid(args.x_min, args.x_max, args.points, args.log_grid)
-    lower = clenshaw_eval(partial_sum(2 * args.n - 1), grid)
-    upper = clenshaw_eval(partial_sum(2 * args.n), grid)
-    ref = np.exp(grid)
+    cols = [
+        grid,
+        clenshaw_eval(partial_sum(2 * args.n - 1), grid),
+        clenshaw_eval(partial_sum(2 * args.n), grid),
+        np.exp(grid),
+    ]
     if args.with_taylor:
-        t_lo = taylor_eval(2 * args.n - 1, grid)
-        t_hi = taylor_eval(2 * args.n, grid)
-    else:
-        t_lo = t_hi = None
+        cols += [taylor_eval(2 * args.n - 1, grid), taylor_eval(2 * args.n, grid)]
+    absent = [] if args.with_taylor else [repeat(None), repeat(None)]
 
-    if (args.format or "csv") == "json":
-        payload = []
-        for i, x in enumerate(grid):
-            payload.append(
-                {
-                    "x": float(x),
-                    "lower": float(lower[i]),
-                    "upper": float(upper[i]),
-                    "exp": float(ref[i]),
-                    "taylor_lower": float(t_lo[i]) if t_lo is not None else None,
-                    "taylor_upper": float(t_hi[i]) if t_hi is not None else None,
-                }
-            )
-        _emit(_json_text(payload), args.output)
-    else:
-        rows = []
-        for i, x in enumerate(grid):
-            row = [_fmt(x), _fmt(lower[i]), _fmt(upper[i]), _fmt(ref[i])]
-            if t_lo is not None:
-                row.extend([_fmt(t_lo[i]), _fmt(t_hi[i])])
-            else:
-                row.extend(["", ""])
-            rows.append(row)
-        _emit(_csv(SWEEP_HEADER, rows), args.output)
+    def rows():
+        # Python floats one block at a time: the full row list is never built
+        for i in range(0, grid.size, _SWEEP_BLOCK):
+            yield from zip(*[c[i:i + _SWEEP_BLOCK].tolist() for c in cols], *absent)
+
+    _emit_table(args, SWEEP_COLUMNS, rows())
     return 0
 
 
@@ -201,23 +194,11 @@ def _cmd_certify(args) -> int:
             raise DomainError("--n must be >= 1")
         lo = hi = args.n
     certs = [sign_certificate(k) for k in range(lo, hi + 1)]
-    if (args.format or "json") == "json":
-        _emit(_json_text([c.to_json_dict() for c in certs]), args.output)
-    else:
-        header = "n,ratio_num,ratio_den,unit_quadratic,shifted_quadratic,leading_positive,verdict"
-        rows = [
-            [
-                str(c.n),
-                "4",
-                str(5 * (c.n + 1)),
-                str(c.cond_unit_quadratic).lower(),
-                str(c.cond_shifted_quadratic).lower(),
-                str(c.cond_leading_positive).lower(),
-                c.verdict,
-            ]
-            for c in certs
-        ]
-        _emit(_csv(header, rows), args.output)
+    columns = ("n", "ratio_num", "ratio_den", "unit_quadratic", "shifted_quadratic",
+               "leading_positive", "verdict")
+    rows = [(c.n, 4, 5 * (c.n + 1), c.cond_unit_quadratic, c.cond_shifted_quadratic,
+             c.cond_leading_positive, c.verdict) for c in certs]
+    _emit_table(args, columns, rows, payload=[c.to_json_dict() for c in certs], default="json")
     return 0 if all(c.verdict == "accepted" for c in certs) else 1
 
 
@@ -226,15 +207,8 @@ def _cmd_compare(args) -> int:
         raise DomainError("--n must be >= 1")
     if args.points < 100:
         raise DomainError("--points must be >= 100")
-    results = [(d, *sup_error_comparison(d, args.points)) for d in range(1, args.n + 1)]
-    if (args.format or "csv") == "json":
-        payload = [
-            {"degree": d, "cheb_sup_err": ce, "taylor_sup_err": te} for d, ce, te in results
-        ]
-        _emit(_json_text(payload), args.output)
-    else:
-        rows = [[str(d), _fmt(ce), _fmt(te)] for d, ce, te in results]
-        _emit(_csv("degree,cheb_sup_err,taylor_sup_err", rows), args.output)
+    rows = [(d, *sup_error_comparison(d, args.points)) for d in range(1, args.n + 1)]
+    _emit_table(args, ("degree", "cheb_sup_err", "taylor_sup_err"), rows)
     return 0
 
 

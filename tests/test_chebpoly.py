@@ -69,14 +69,17 @@ def test_parity_symmetry(n):
     np.testing.assert_allclose(u_neg, sign * u_pos, rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("n", range(0, 33))
+@pytest.mark.parametrize("n", range(0, 65))
 def test_hyperbolic_consistency(n):
-    ts = np.linspace(0.05, 4.0, 25)
-    xs = np.cosh(ts)
-    np.testing.assert_allclose(eval_T(n, xs), np.cosh(n * ts), rtol=1e-11)
-    np.testing.assert_allclose(
-        eval_U(n, xs) * np.sinh(ts), np.sinh((n + 1) * ts), rtol=1e-11
-    )
+    # |x| from 1.001 to about 1e4 on both sides: T_n(-x) = (-1)^n T_n(x), same for U_n
+    ts = np.linspace(0.05, 9.9, 40)
+    for sign in (1.0, -1.0):
+        xs = sign * np.cosh(ts)
+        parity = sign**n
+        np.testing.assert_allclose(eval_T(n, xs), parity * np.cosh(n * ts), rtol=1e-11)
+        np.testing.assert_allclose(
+            eval_U(n, xs) * np.sinh(ts), parity * np.sinh((n + 1) * ts), rtol=1e-11
+        )
 
 
 class TestClenshaw:

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -84,6 +85,26 @@ class TestEnclose:
         payload = json.loads(out)
         ref = oracles.mp_exp(mp.mpf("-1.0001"))
         assert payload["lower"] <= ref <= payload["upper"]
+
+
+@pytest.mark.parametrize(
+    "joined",
+    (
+        ["enclose", "--n", "2", "--x=-1e4"],
+        ["enclose", "--n", "3", "--x=-1.5E+3", "--format", "json"],
+        ["enclose", "--n", "1", "--x=-.5e1"],
+        ["sweep", "--n", "2", "--x-min=-1e2", "--x-max=-1.5e0", "--points", "5"],
+        ["enclose", "--n", "2", "--x=-inf"],
+        ["enclose", "--n", "2", "--x=-nan"],
+    ),
+    ids=("exponent", "signed-exponent-json", "leading-dot", "sweep", "inf", "nan"),
+)
+def test_negative_float_spellings_parse_alike(run_cli, joined):
+    spaced = [part for token in joined for part in token.split("=")]
+    with np.errstate(invalid="ignore"):
+        code, out, err = run_cli(spaced)
+        assert "expected one argument" not in err
+        assert (code, out, err) == run_cli(joined)
 
 
 class TestSweep:

@@ -1,62 +1,38 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from chebbound import _kernels
-
-PAIRS = [
-    ("clenshaw", _kernels.clenshaw_np),
-    ("cheb_t", _kernels.cheb_t_np),
-    ("cheb_u", _kernels.cheb_u_np),
-    ("taylor", _kernels.taylor_np),
-]
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba disabled or unavailable")
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(7)
-    xs = rng.uniform(-10.0, 10.0, 257)
-    coeffs = rng.uniform(-1.0, 1.0, 33)
-    np.testing.assert_allclose(
-        _kernels.clenshaw_nb(coeffs, xs), _kernels.clenshaw_np(coeffs, xs), rtol=1e-14
-    )
-    for n in (0, 1, 7, 32):
-        np.testing.assert_allclose(
-            _kernels.cheb_t_nb(n, xs), _kernels.cheb_t_np(n, xs), rtol=1e-14
-        )
-        np.testing.assert_allclose(
-            _kernels.taylor_nb(n, xs), _kernels.taylor_np(n, xs), rtol=1e-14
-        )
-    for n in (-1, 0, 1, 7, 32):
-        np.testing.assert_allclose(
-            _kernels.cheb_u_nb(n, xs), _kernels.cheb_u_np(n, xs), rtol=1e-14
-        )
 
 
 def test_numpy_path_values():
     xs = np.array([-2.0, 0.5])
-    np.testing.assert_allclose(_kernels.cheb_t_np(2, xs), [7.0, -0.5])
-    np.testing.assert_allclose(_kernels.cheb_u_np(-1, xs), [0.0, 0.0])
     np.testing.assert_allclose(
-        _kernels.clenshaw_np(np.array([1.0, 2.0, 3.0]), xs), [18.0, 0.5]
+        _kernels.clenshaw_kernel(np.array([1.0, 2.0, 3.0]), xs), [18.0, 0.5]
     )
-    np.testing.assert_allclose(_kernels.taylor_np(1, xs), [-1.0, 1.5])
+    # T_2 from the unit vector e_2, U_{-1} from its zero T-basis expansion
+    np.testing.assert_allclose(_kernels.clenshaw_kernel(np.array([0.0, 0.0, 1.0]), xs), [7.0, -0.5])
+    np.testing.assert_allclose(_kernels.clenshaw_kernel(np.array([0.0]), xs), [0.0, 0.0])
+    np.testing.assert_allclose(_kernels.taylor_kernel(1, xs), [-1.0, 1.5])
+    np.testing.assert_allclose(_kernels.taylor_kernel(0, xs), [1.0, 1.0])
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, CHEBBOUND_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from chebbound import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
+def test_kernels_match_scalar_loops_bit_for_bit():
+    # the same IEEE operations point by point in Python floats give the same bits
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-10.0, 10.0, 257)
+    coeffs = rng.uniform(-1.0, 1.0, 33)
 
+    def clenshaw(x):
+        b1 = b2 = 0.0
+        for c in coeffs[:0:-1].tolist():
+            b1, b2 = c + 2.0 * x * b1 - b2, b1
+        return float(coeffs[0]) + x * b1 - b2
 
-def test_backend_reported():
-    assert _kernels.BACKEND in ("numba", "numpy")
+    def taylor(n, x):
+        v = 1.0
+        for k in range(n, 0, -1):
+            v = 1.0 + v * x / k
+        return v
+
+    assert _kernels.clenshaw_kernel(coeffs, xs).tolist() == [clenshaw(x) for x in xs.tolist()]
+    for n in (0, 1, 7, 32):
+        assert _kernels.taylor_kernel(n, xs).tolist() == [taylor(n, x) for x in xs.tolist()]
