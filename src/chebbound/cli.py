@@ -1,8 +1,11 @@
 """Command-line front end emitting coefficients, brackets, sweeps and certificates.
 
-Data goes to stdout (or ``--output``), diagnostics to stderr.  Output is
-deterministic: no timestamps, '.' decimal separator, floats printed with 17
-significant digits so that double-precision values round-trip exactly.
+Data goes to stdout (or ``--output``), diagnostics to stderr.  No timestamps,
+'.' decimal separator, floats that round-trip exactly (17 significant digits
+in CSV, ``repr`` in JSON).  Output is deterministic for a given numpy build
+and CPU feature set: ``sweep``'s ``exp`` column and its ``--log-grid`` x values
+come from numpy's ``exp`` and ``geomspace``, whose AVX-512 path can differ
+from the others in the last bit.
 
 Exit codes: 0 success, 1 any rejected certificate (``certify`` only),
 2 invalid arguments or domain violations.
@@ -11,10 +14,14 @@ Exit codes: 0 success, 1 any rejected certificate (``certify`` only),
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import math
+import os
 import re
 import sys
-from itertools import repeat
+from contextlib import nullcontext
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -86,37 +93,68 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cell(v) -> str:
-    if type(v) is float:
-        return format(v, ".17g")
-    if v is None:
-        return ""
-    if type(v) is bool:
-        return "true" if v else "false"
-    return str(v)
+def _column(name, col, as_json):
+    """One column of a block: its field in the row template, and its cells (None: fixed text).
+
+    CSV prints floats with 17 significant digits, None as an empty cell and
+    bools as true/false; JSON prints each cell as ``json.dumps`` does.
+    """
+    kind, *others = set(map(type, col))
+    if others:
+        raise TypeError(f"column {name!r} mixes {sorted(k.__name__ for k in (kind, *others))}")
+    if kind is type(None):
+        return ("null" if as_json else ""), None
+    if kind is float and not as_json:
+        return "%.17g", col
+    # repr is JSON's text for every float but nan and +-inf, which a finite sum rules out
+    if kind is float and math.isfinite(sum(col)):
+        return "%r", col
+    return "%s", map(json.dumps, col) if as_json or kind is bool else col
+
+
+def _write(out, text: str) -> None:
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        out.write(text)
+        return
+    # unbuffered (python -u): a signal can cut a pipe write short, and the
+    # text layer would drop the rest
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
 
 
 def _emit_table(args, columns, rows, payload=None, default="csv") -> None:
-    """Write ``rows`` (tuples of Python values) as CSV or JSON.
+    """Write ``rows`` (tuples of Python values, one type per column) as CSV or JSON.
 
-    CSV prints floats with 17 significant digits, None as an empty cell and
-    bools as true/false.  JSON writes ``payload`` if one is given, else one
-    object per row keyed by ``columns``.  The text goes to ``--output`` if
-    set, else to stdout.
+    JSON writes ``payload`` if one is given, else one object per row keyed by
+    ``columns``, as ``json.dumps(..., indent=2)`` does.  Rows are formatted with
+    one ``%`` template and written ``_SWEEP_BLOCK`` at a time, to ``--output``
+    if set, else to stdout.
     """
-    if (args.format or default) == "json":
-        if payload is None:
-            payload = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+    as_json = (args.format or default) == "json"
+    if as_json:
+        keys = [json.dumps(c).replace("%", "%%") for c in columns]
+        start, sep, end, empty = "[\n", ",\n", "\n]\n", "[]\n"
     else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(map(_cell, row)) for row in rows)
-        text = "\n".join(lines) + "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", newline="") as handle:
-            handle.write(text)
+        start = empty = ",".join(columns) + "\n"
+        sep = end = "\n"
+    with nullcontext(sys.stdout) if args.output is None else open(args.output, "w", newline="") as out:
+        if as_json and payload is not None:
+            _write(out, json.dumps(payload, indent=2) + "\n")
+            return
+        rows, lead = iter(rows), None
+        while block := list(islice(rows, _SWEEP_BLOCK)):
+            fields, cells = zip(*map(_column, columns, zip(*block), repeat(as_json)))
+            if as_json:
+                template = "  {\n" + ",\n".join(f"    {k}: {f}" for k, f in zip(keys, fields)) + "\n  }"
+            else:
+                template = ",".join(fields)
+            cells = [c for c in cells if c is not None]
+            lines = map(template.__mod__, zip(*cells) if cells else repeat((), len(block)))
+            _write(out, (lead or start) + sep.join(lines))
+            lead = sep
+        _write(out, end if lead else empty)
 
 
 def _cmd_coeffs(args) -> int:
@@ -230,6 +268,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"chebbound {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and args.output is None:
+            # the reader of stdout left (`| head`): as the signal module's docs
+            # advise, let the exit-time flush go to devnull, and end quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
         print(f"chebbound {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ import pytest
 from mpmath import mp
 
 import oracles
-from chebbound.cli import SWEEP_HEADER, main
+from chebbound.cli import _SWEEP_BLOCK, SWEEP_HEADER, _emit_table, main
 
 
 @pytest.fixture
@@ -30,6 +32,96 @@ def _parse_csv(text):
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     return rows[0], rows[1:]
+
+
+def _reference_json(columns, rows):
+    return json.dumps([dict(zip(columns, r)) for r in rows], indent=2) + "\n"
+
+
+def _reference_csv(columns, rows):
+    def cell(v):
+        if type(v) is float:
+            return format(v, ".17g")
+        if v is None:
+            return ""
+        if type(v) is bool:
+            return "true" if v else "false"
+        return str(v)
+
+    return "\n".join([",".join(columns)] + [",".join(map(cell, r)) for r in rows]) + "\n"
+
+
+class TestEmitTable:
+    """The block-wise emitter against the per-cell text it replaced."""
+
+    COLUMNS = ("i", "f", "b", "none", "s", 'odd "%s" 100%')
+    NONFINITE = (math.nan, math.inf, -math.inf)
+
+    def _rows(self, count, nonfinite_from=None):
+        rows = []
+        for k in range(count):
+            f = -1.0 - k * 1.37e-3 if k % 7 else (-0.0, 1e308, 5e-324, 1 / 3, -1e-300, 2.5e15, 10.0)[k // 7 % 7]
+            if nonfinite_from is not None and k >= nonfinite_from and k % 5 == 0:
+                f = self.NONFINITE[k // 5 % 3]
+            rows.append((k * 10**15, f, k % 3 == 0, None, ("a", '"q" %s, é\n', "")[k % 3], -k))
+        return rows
+
+    def _emit(self, capsys, fmt, columns, rows, payload=None):
+        _emit_table(argparse.Namespace(format=fmt, output=None), columns, rows, payload=payload)
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    @pytest.mark.parametrize("count", (1, 9, _SWEEP_BLOCK, 2 * _SWEEP_BLOCK + 3))
+    @pytest.mark.parametrize("nonfinite_from", (None, 0, _SWEEP_BLOCK))
+    def test_matches_the_per_cell_text(self, capsys, count, nonfinite_from):
+        rows = self._rows(count, nonfinite_from)
+        assert self._emit(capsys, "json", self.COLUMNS, iter(rows)) == _reference_json(self.COLUMNS, rows)
+        assert self._emit(capsys, "csv", self.COLUMNS, iter(rows)) == _reference_csv(self.COLUMNS, rows)
+
+    def test_sum_overflow_is_not_taken_for_a_nonfinite_cell(self, capsys):
+        rows = [(1.7e308,), (1.7e308,), (-0.1,)]
+        assert self._emit(capsys, "json", ("f",), rows) == _reference_json(("f",), rows)
+
+    def test_a_table_of_empty_columns_keeps_its_rows(self, capsys):
+        rows = [(None, None)] * 3
+        assert self._emit(capsys, "json", ("a", "b"), rows) == _reference_json(("a", "b"), rows)
+        assert self._emit(capsys, "csv", ("a", "b"), rows) == "a,b\n,\n,\n,\n"
+
+    def test_empty_table(self, capsys):
+        assert self._emit(capsys, "json", self.COLUMNS, []) == "[]\n"
+        assert self._emit(capsys, "csv", self.COLUMNS, []) == ",".join(self.COLUMNS) + "\n"
+
+    def test_payload_is_dumped_as_given(self, capsys):
+        payload = {"x": -3.0, "nested": [{"a": math.nan}], "ok": True}
+        text = self._emit(capsys, "json", ("x",), [(-3.0,)], payload=payload)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        assert self._emit(capsys, "csv", ("x",), [(-3.0,)], payload=payload) == "x\n-3\n"
+
+    def test_short_raw_writes_are_finished(self, capsys, monkeypatch):
+        # unbuffered stdout (python -u) hands each write to the raw stream once;
+        # a pipe write cut short by a signal returns a short count like this one
+        class ShortRaw(io.RawIOBase):
+            data = b""
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.data += bytes(b[:1000])
+                return min(len(b), 1000)
+
+        rows = self._rows(2 * _SWEEP_BLOCK + 3, nonfinite_from=0)
+        raw = ShortRaw()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        for fmt, reference in (("json", _reference_json), ("csv", _reference_csv)):
+            raw.data = b""
+            _emit_table(argparse.Namespace(format=fmt, output=None), self.COLUMNS, rows)
+            assert raw.data.decode() == reference(self.COLUMNS, rows)
+
+    def test_a_column_of_mixed_types_is_refused(self, capsys):
+        with pytest.raises(TypeError, match="'f' mixes"):
+            self._emit(capsys, "csv", ("f",), [(1.0,), (None,)])
 
 
 class TestCoeffs:
@@ -286,3 +378,23 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload[0]["verdict"] == "accepted"
+
+
+SWEEP_100K = [sys.executable, "-m", "chebbound", "sweep", "--n", "4", "--x-min=-30", "--x-max=-2",
+              "--points", "100000"]
+
+
+def test_reader_leaving_early_is_a_quiet_success():
+    with subprocess.Popen(SWEEP_100K, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == (SWEEP_HEADER + "\n").encode()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_write_error_is_exit_1_with_the_message():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(SWEEP_100K, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "chebbound sweep: error: [Errno 28] No space left on device\n"

@@ -1,7 +1,11 @@
 """Golden outputs: the sha256 of the CLI's stdout for each subcommand and format.
 
 The digests were taken from the package before its kernels and its CLI
-emitter were merged, and pin every byte of that output.  ``sweep`` prints
+emitter were merged, and pin every byte of that output.  The ``block_*``
+and ``nonfinite`` cases were added, with digests from the same emitter,
+before the emitter began writing its tables block by block: their sweeps
+cross several 4096-row blocks, and the nonfinite one prints ``NaN`` and
+``Infinity`` cells.  ``sweep`` prints
 ``np.exp`` of its grid, and its log grid goes through ``np.geomspace``;
 numpy takes an AVX-512 path for both where the CPU has one, and that path
 differs from libm in the last bit at a few percent of the points.  Each
@@ -11,11 +15,13 @@ output with ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from chebbound.cli import main
 
 SWEEP = ["sweep", "--n", "3", "--x-min=-40", "--x-max=-1.01", "--points", "2000"]
+BLOCKS = ["sweep", "--n", "3", "--x-min=-40", "--x-max=-1.01", "--points", "10001"]
 
 GOLDEN = {
     "coeffs_csv": (["coeffs", "--n", "12"],
@@ -65,6 +71,23 @@ GOLDEN = {
     "sweep_endpoints_taylor_json": (["sweep", "--n", "1", "--x-min=-2", "--x-max=-1.5", "--points",
                                      "2", "--with-taylor", "--format", "json"],
                                     "5f2708a009caf587c077fe914d5a5770fe476203e1bc5fc1c42a0ca39ac5d06c"),
+    "block_taylor_csv": (BLOCKS + ["--with-taylor"],
+                         "86e63d638d7380dfe317ed725aac6c2a00080ef7db6493973819e9680c3154c6",
+                         "4b347750125d8b951f02d0e9906d222ee55bc3e9aa337accabdc69b956a35b5c"),
+    "block_taylor_json": (BLOCKS + ["--with-taylor", "--format", "json"],
+                          "f6c1e3bd7e4fa8bba384c903600fbbe9ae70cec0cb0a6818d43109daa0a764fe",
+                          "4e5667845df3e3b64a44417ed64e8acee9a6d4051dfa2fb1b7cb93976b25f882"),
+    "block_log_csv": (BLOCKS + ["--log-grid"],
+                      "e602a04555d2dbcea025c0ac3c4982a2ced93b2f13a2f69618af759163da82d2",
+                      "2d7721265ffd0114a3d268916a9bb286b4bfdd645d05ec7053a6daab6b1fc189"),
+    "block_log_json": (BLOCKS + ["--log-grid", "--format", "json"],
+                       "ec1d5d8bc0be5f625fc2a583c4c315a59617cc693bbbb74301f73f394f48d01c",
+                       "6fa7bd28bfab9347d49986844c06b5dbcfab6b4d9b0c3a5637ff1fde264ed7a6"),
+    # the bracket and Maclaurin columns overflow to NaN and +-inf far from -1
+    "nonfinite_log_taylor_json": (["sweep", "--n", "4", "--x-min=-1e300", "--x-max=-2", "--log-grid",
+                                   "--points", "3000", "--format", "json", "--with-taylor"],
+                                  "440ce10a163f8ea223c0e57dc2cf686833f61cabe28a33bc76b41496ae68963e",
+                                  "0b61126ea84e558e04f7f2c322ee352acdafb891270132091ffb659d7b3054ab"),
     "certify_n_json": (["certify", "--n", "12"],
                        "05727cb25aea7fb67feba27f307b7c6c1adb32cf16a7ad7ba7759b7bd06eab14"),
     "certify_n_csv": (["certify", "--n", "12", "--format", "csv"],
@@ -83,7 +106,8 @@ GOLDEN = {
 
 
 def _stdout(capsys, argv):
-    code = main(argv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(argv)
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
     return out
@@ -97,7 +121,8 @@ def test_stdout_digest(capsys, name):
 
 
 def test_output_file_holds_the_stdout_bytes(capsys, tmp_path):
-    argv = SWEEP + ["--with-taylor", "--format", "json"]
-    target = tmp_path / "sweep.json"
-    assert _stdout(capsys, argv + ["--output", str(target)]) == ""
-    assert target.read_bytes() == _stdout(capsys, argv).encode()
+    for fmt in ("json", "csv"):
+        argv = BLOCKS + ["--with-taylor", "--format", fmt]
+        target = tmp_path / f"sweep.{fmt}"
+        assert _stdout(capsys, argv + ["--output", str(target)]) == ""
+        assert target.read_bytes() == _stdout(capsys, argv).encode()
