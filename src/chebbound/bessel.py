@@ -88,11 +88,11 @@ def _leading_term(n, half_x):
 
 
 def series_sum(n, x, rel_tol, max_terms):
-    """Sum the defining series of I_n(x) generically.
+    """Sum the defining series of I_n(x) in the arithmetic of ``x``.
 
-    Arithmetic follows the type of ``x`` (float or an mpmath ``mpf``), so the
-    same update drives both double-precision evaluation and the
-    extended-precision construction in :mod:`chebbound.certificate`.
+    This is the double-precision path behind :func:`bessel_i`; the
+    certificate polynomials in :mod:`chebbound.certificate` take their Bessel
+    values from fixed-point integer sums instead.
     """
     half_x = x / 2
     q = half_x * half_x

@@ -11,10 +11,13 @@ quadratic-in-e^t decomposition that exhibits the sign, and issues a
 per-degree accept/reject certificate from three exact rational discriminant
 conditions on the ratio bound 4/(5(N+1)).
 
-Coefficient construction runs at extended internal precision: the reduction
-route subtracts derivative sums of order one from coefficients of order one
-to leave residuals of order I_N(1), which underflows the 53-bit mantissa
-already for moderate N.  Public results are rounded to float64.
+Coefficients rest on fixed-point integers: each I_k(1) is summed in
+integers scaled by 2^bits, flooring every term, so it lies below I_k(1) by
+less than (terms + 2) units of 2^-bits, and the algebra on top is exact
+(fractions).  2^-bits is 2^112 or more times smaller than I_N(1), the size
+of the residuals that the reduction route leaves after cancelling terms of
+order one, so the one rounding that shows is the final cast of each
+coefficient to float64.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp
 
-from .bessel import bessel_i, series_sum
+from .bessel import bessel_i
 from .chebpoly import (
     ChebSeries,
     clenshaw_eval,
@@ -57,22 +59,25 @@ __all__ = [
 _EXP_ARG_LIMIT = 700.0
 
 
-def _needed_dps(n: int) -> int:
-    """Working digits that keep coefficients of size 2 I_n(1) meaningful."""
-    if n < 2:
-        return 35
-    digits_lost = 0.30103 * n + math.lgamma(n + 1) / math.log(10.0)
-    return 35 + int(digits_lost)
+def _working_bits(n: int) -> int:
+    """Fixed-point bits for G_n: some 35 decimal digits below I_n(1) ~ 1/(2^n n!)."""
+    digits = 35 if n < 2 else 35 + int(0.30103 * n + math.lgamma(n + 1) / math.log(10.0))
+    return math.ceil(digits * math.log2(10))
 
 
-def _mp_exp_coeffs(n: int, dps: int):
-    """a_0..a_n as mpf values at ``dps`` working digits."""
-    one = mp.mpf(1)
-    tol = mp.mpf(10) ** (-(dps + 5))
-    cap = 4 * dps + 80
-    vals = [series_sum(0, one, tol, cap)]
-    vals.extend(2 * series_sum(k, one, tol, cap) for k in range(1, n + 1))
-    return vals
+def _bessel_at_one(k: int, bits: int) -> Fraction:
+    """I_k(1) to a multiple of 2^-bits, low by less than (terms + 2) units.
+
+    Term m, (1/2)^(2m+k) / (m! (m+k)!), is held as floor(2^bits term): the
+    floors nest, so each update ``term //= 4m(m+k)`` keeps that exactly.
+    """
+    term = (1 << bits) // ((1 << k) * math.factorial(k))
+    total, m = 0, 0
+    while term:
+        total += term
+        m += 1
+        term //= 4 * m * (m + k)
+    return Fraction(total, 1 << bits)
 
 
 @lru_cache(maxsize=None)
@@ -81,19 +86,17 @@ def build_G_via_reduction(n: int) -> ChebSeries:
 
     The exponential cancels between the truncation error and its
     derivative, so the difference is the certificate polynomial itself.
-    Coefficient algebra runs at extended precision and is rounded to
-    float64 on return.
+    Coefficient algebra runs in exact fractions and is rounded to float64
+    on return.
     """
     if n < 0:
         raise DomainError("build_G_via_reduction needs n >= 0")
-    dps = _needed_dps(n)
-    with mp.workdps(dps):
-        a = _mp_exp_coeffs(n, dps)
-        d = differentiate_coeffs(a)
-        g = [a[j] - (d[j] if j < len(d) else 0) for j in range(n)]
-        g.append(a[n] if n >= 1 else a[0])
-        out = np.array([float(v) for v in g], dtype=np.float64)
-    return ChebSeries(out)
+    bits = _working_bits(n)
+    a = [_bessel_at_one(0, bits)] + [2 * _bessel_at_one(k, bits) for k in range(1, n + 1)]
+    d = differentiate_coeffs(a)
+    g = [a[j] - (d[j] if j < len(d) else 0) for j in range(n)]
+    g.append(a[n])
+    return ChebSeries(np.array([float(v) for v in g], dtype=np.float64))
 
 
 @lru_cache(maxsize=None)
@@ -105,18 +108,13 @@ def build_G_closed_form(n: int) -> ChebSeries:
     """
     if n < 0:
         raise DomainError("build_G_closed_form needs n >= 0")
-    dps = _needed_dps(n)
-    with mp.workdps(dps):
-        one = mp.mpf(1)
-        tol = mp.mpf(10) ** (-(dps + 5))
-        cap = 4 * dps + 80
-        i_n = series_sum(n, one, tol, cap)
-        i_np1 = series_sum(n + 1, one, tol, cap)
-        un = u_to_t_coeffs(n)
-        unm1 = u_to_t_coeffs(n - 1)
-        g = [i_n * un[j] + (i_np1 * unm1[j] if j < len(unm1) else 0) for j in range(n + 1)]
-        out = np.array([float(v) for v in g], dtype=np.float64)
-    return ChebSeries(out)
+    bits = _working_bits(n)
+    i_n = _bessel_at_one(n, bits)
+    i_np1 = _bessel_at_one(n + 1, bits)
+    un = u_to_t_coeffs(n)
+    unm1 = u_to_t_coeffs(n - 1)
+    g = [i_n * un[j] + (i_np1 * unm1[j] if j < len(unm1) else 0) for j in range(n + 1)]
+    return ChebSeries(np.array([float(v) for v in g], dtype=np.float64))
 
 
 @lru_cache(maxsize=None)

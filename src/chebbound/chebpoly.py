@@ -82,9 +82,9 @@ def clenshaw_eval(s: ChebSeries, x):
 def differentiate_coeffs(coeffs):
     """T-basis coefficients of the derivative of a T-basis coefficient list.
 
-    Generic over the scalar type (float, Fraction, mpmath mpf), which lets
-    the certificate construction run the identical algebra at extended
-    precision.  A degree-0 input yields the one-term zero series.
+    Generic over the scalar type (float or Fraction), which lets the
+    certificate construction run the identical algebra exactly in
+    fractions.  A degree-0 input yields the one-term zero series.
     """
     n = len(coeffs) - 1
     if n == 0:

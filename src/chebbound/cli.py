@@ -263,7 +263,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        # overflow far from -1 already shows as inf/nan cells; numpy's warnings
+        # would put its source lines on stderr, which carries chebbound's own
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _DISPATCH[args.command](args)
     except DomainError as exc:
         print(f"chebbound {args.command}: error: {exc}", file=sys.stderr)
         return 2

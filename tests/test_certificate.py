@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
+import oracles
 from chebbound import (
     DomainError,
     bessel_i,
@@ -24,6 +26,16 @@ I1_AT_1 = 0.5651591039924851
 I2_AT_1 = 0.1357476697670383
 
 DECOMP_T_GRID = (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0)
+
+
+def _u_in_t_basis(k):
+    """T-basis coefficients of U_k from U_k = 2 T_k + U_{k-2}, U_0 = T_0, U_{-1} = 0."""
+    c = [0] * (k + 1)
+    for j in range(k, 0, -2):
+        c[j] = 2
+    if k >= 0 and k % 2 == 0:
+        c[0] = 1
+    return c
 
 
 class TestBuilders:
@@ -79,6 +91,16 @@ class TestBuilders:
         cv = clenshaw_eval(build_G_closed_form(n), xs)
         scale = np.maximum(1.0, np.abs(cv))
         assert np.all(np.abs(rv - cv) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 3, 16, 31, 32, 33, 63, 64, 65, 75, 76, 100, 127, 128))
+    @pytest.mark.parametrize("build", (build_G_via_reduction, build_G_closed_form))
+    def test_coefficients_are_correctly_rounded(self, build, n):
+        # float() of I_n U_n + I_{n+1} U_{n-1} at 80 digits; for n = 0 that is I_0(1)
+        un, unm1 = _u_in_t_basis(n), _u_in_t_basis(n - 1) + [0]
+        with mp.workdps(oracles.DPS):
+            i_n, i_np1 = oracles.mp_bessel_i(n, 1), oracles.mp_bessel_i(n + 1, 1)
+            expected = [float(i_n * un[j] + i_np1 * unm1[j]) for j in range(n + 1)]
+        assert build(n).coeffs.tolist() == expected
 
     def test_rejects_negative_degree(self):
         with pytest.raises(DomainError):

@@ -380,6 +380,36 @@ def test_module_entry_point():
     assert payload[0]["verdict"] == "accepted"
 
 
+@pytest.mark.parametrize("args", (
+    ["enclose", "--n", "2", "--x=-inf"],
+    ["enclose", "--n", "2", "--x=-1e200"],
+    ["sweep", "--n", "4", "--x-min=-1e300", "--x-max=-2", "--log-grid", "--points", "3000",
+     "--format", "json", "--with-taylor"],
+))
+def test_overflow_far_from_the_edge_leaves_stderr_empty(args):
+    proc = subprocess.run([sys.executable, "-m", "chebbound", *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_runtime_needs_no_mpmath():
+    script = """
+import sys
+import chebbound
+from chebbound import build_G_closed_form, build_G_via_reduction, cli
+assert "mpmath" not in sys.modules, "import chebbound loaded mpmath"
+sys.modules["mpmath"] = None  # any later import of mpmath raises ImportError
+assert build_G_via_reduction(64).coeffs.tolist() == build_G_closed_form(64).coeffs.tolist()
+assert cli.main(["certify", "--range", "1..64"]) == 0
+assert cli.main(["enclose", "--n", "3", "--x=-2.5"]) == 0
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"verdict": "accepted"') == 64
+    assert proc.stdout.endswith(",5,6\n")
+
+
 SWEEP_100K = [sys.executable, "-m", "chebbound", "sweep", "--n", "4", "--x-min=-30", "--x-max=-2",
               "--points", "100000"]
 
