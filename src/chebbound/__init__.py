@@ -9,7 +9,6 @@ and ships a CLI that emits the results as CSV/JSON.
 """
 
 from .bessel import (
-    EvalPrecision,
     Interval,
     bessel_i,
     bessel_i_enclosure,
@@ -49,7 +48,6 @@ __all__ = [
     "ChebSeries",
     "DomainError",
     "Enclosure",
-    "EvalPrecision",
     "Interval",
     "NonConvergenceError",
     "QuadraticInE",

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import bessel_i
+from .bessel import bessel_i, bessel_ratio_bound
 from .chebpoly import (
     ChebSeries,
     clenshaw_eval,
@@ -172,7 +172,7 @@ class QuadraticInE:
 
 
 def _decomposition_params(n: int, r: float):
-    """Split parameters; the pair for an out-of-range index is zeroed.
+    """Split parameters a, b, c, d.
 
     For n >= 2 all four special indices n-2..n+1 lie inside 0..2n-1 and the
     choice is a = d = 2r, b = c = 2(-1)^n - 2r.  For n = 1 the indices n+1
@@ -180,11 +180,8 @@ def _decomposition_params(n: int, r: float):
     and b = c = 2(-1)^n carry the whole cross term.
     """
     sign2 = 2.0 * (-1) ** n
-    has_b = n + 1 <= 2 * n - 1
-    has_e = n - 2 >= 0
-    a = 2.0 * r if has_b else 0.0
-    d = 2.0 * r if has_e else 0.0
-    return a, sign2 - a, sign2 - d, d, has_b, has_e
+    a = d = 2.0 * r if n >= 2 else 0.0
+    return a, sign2 - a, sign2 - d, d
 
 
 def decomposition_quadratics(n: int) -> tuple[QuadraticInE, ...]:
@@ -192,7 +189,7 @@ def decomposition_quadratics(n: int) -> tuple[QuadraticInE, ...]:
     if n < 1:
         raise DomainError("the decomposition needs n >= 1")
     r = bessel_i(n + 1, 1.0) / bessel_i(n, 1.0)
-    a, b, c, d, _, _ = _decomposition_params(n, r)
+    a, b, c, d = _decomposition_params(n, r)
     return (
         QuadraticInE(1.0, -2.0 * r, 1.0),
         QuadraticInE(1.0, -2.0 * r, 1.0 - a),
@@ -213,15 +210,13 @@ def decomposition_terms(n: int, t: float) -> tuple[float, float, float, float, f
     """
     _validate_decomposition_args(n, t)
     q_a, q_b, q_c, q_d, q_e = decomposition_quadratics(n)
-    r = bessel_i(n + 1, 1.0) / bessel_i(n, 1.0)
-    _, _, _, _, has_b, has_e = _decomposition_params(n, r)
     e1 = math.exp(t)
     special = {n - 2, n - 1, n, n + 1}
     term_a = sum((math.exp(k * t) * q_a(e1) for k in range(0, 2 * n) if k not in special), 0.0)
-    term_b = math.exp((n + 1) * t) * q_b(e1) if has_b else 0.0
+    term_b = math.exp((n + 1) * t) * q_b(e1) if n >= 2 else 0.0
     term_c = math.exp(n * t) * q_c(e1)
     term_d = math.exp((n - 1) * t) * q_d(e1)
-    term_e = math.exp((n - 2) * t) * q_e(e1) if has_e else 0.0
+    term_e = math.exp((n - 2) * t) * q_e(e1) if n >= 2 else 0.0
     return term_a, term_b, term_c, term_d, term_e
 
 
@@ -273,7 +268,8 @@ class Certificate:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "ratio_bound": {"num": 4, "den": 5 * (self.n + 1)},
+            # printed unreduced over the numerator 4: 4/20, not 1/5
+            "ratio_bound": {"num": 4, "den": int(4 / self.ratio_bound)},
             "conditions": {
                 "unit_quadratic": self.cond_unit_quadratic,
                 "shifted_quadratic": self.cond_shifted_quadratic,
@@ -295,7 +291,7 @@ def sign_certificate(n: int) -> Certificate:
     """
     if n < 1:
         raise DomainError("certificates are defined for n >= 1")
-    rb = Fraction(4, 5 * (n + 1))
+    rb = bessel_ratio_bound(n, 1.0, specialize=True)
     cond_unit = 4 * rb * rb - 4 < 0
     cond_shifted = 4 * rb * rb - 4 * (1 - 2 * rb) < 0
     cond_leading = 1 - 2 * rb > 0

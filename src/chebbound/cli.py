@@ -7,8 +7,10 @@ and CPU feature set: ``sweep``'s ``exp`` column and its ``--log-grid`` x values
 come from numpy's ``exp`` and ``geomspace``, whose AVX-512 path can differ
 from the others in the last bit.
 
-Exit codes: 0 success, 1 any rejected certificate (``certify`` only),
-2 invalid arguments or domain violations.
+Exit codes: 0 success, 1 any rejected certificate (``certify`` only) or a
+failed write, 2 invalid arguments, domain violations, or inputs past the
+float Bessel series' limit (``coeffs --n 151`` and above, bracket pairs
+``--n 76`` and above), each with one line on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .certificate import sign_certificate
 from .chebpoly import clenshaw_eval
-from .errors import DomainError
+from .errors import DomainError, NonConvergenceError
 from .expseries import (
     cheb_sandwich,
     exp_cheb_coefficients,
@@ -231,13 +233,13 @@ def _cmd_certify(args) -> int:
         if args.n is None or args.n < 1:
             raise DomainError("--n must be >= 1")
         lo = hi = args.n
-    certs = [sign_certificate(k) for k in range(lo, hi + 1)]
+    payload = [sign_certificate(k).to_json_dict() for k in range(lo, hi + 1)]
     columns = ("n", "ratio_num", "ratio_den", "unit_quadratic", "shifted_quadratic",
                "leading_positive", "verdict")
-    rows = [(c.n, 4, 5 * (c.n + 1), c.cond_unit_quadratic, c.cond_shifted_quadratic,
-             c.cond_leading_positive, c.verdict) for c in certs]
-    _emit_table(args, columns, rows, payload=[c.to_json_dict() for c in certs], default="json")
-    return 0 if all(c.verdict == "accepted" for c in certs) else 1
+    rows = [(p["n"], *p["ratio_bound"].values(), *p["conditions"].values(), p["verdict"])
+            for p in payload]
+    _emit_table(args, columns, rows, payload=payload, default="json")
+    return 0 if all(p["verdict"] == "accepted" for p in payload) else 1
 
 
 def _cmd_compare(args) -> int:
@@ -267,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         # would put its source lines on stderr, which carries chebbound's own
         with np.errstate(over="ignore", invalid="ignore"):
             return _DISPATCH[args.command](args)
-    except DomainError as exc:
+    except (DomainError, NonConvergenceError) as exc:
         print(f"chebbound {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .bessel import DEFAULT_PRECISION, EvalPrecision, bessel_i
+from .bessel import bessel_i
 from .chebpoly import ChebSeries, _as_points, clenshaw_eval
 from .errors import DomainError
 
@@ -58,16 +58,13 @@ class Enclosure:
 
 
 @lru_cache(maxsize=None)
-def _coeffs_cached(n: int, rel_tol: float, max_terms: int) -> tuple[float, ...]:
-    prec = EvalPrecision(rel_tol, max_terms)
-    out = [bessel_i(0, 1.0, prec)]
-    out.extend(2.0 * bessel_i(k, 1.0, prec) for k in range(1, n + 1))
+def _coeffs_cached(n: int) -> tuple[float, ...]:
+    out = [bessel_i(0, 1.0)]
+    out.extend(2.0 * bessel_i(k, 1.0) for k in range(1, n + 1))
     return tuple(out)
 
 
-def exp_cheb_coefficients(
-    n: int, prec: EvalPrecision = DEFAULT_PRECISION
-) -> np.ndarray:
+def exp_cheb_coefficients(n: int) -> np.ndarray:
     """Coefficients a_0..a_n of the Chebyshev expansion of exp on [-1, 1].
 
     All entries are positive and strictly decreasing from a_1 on, with
@@ -75,12 +72,12 @@ def exp_cheb_coefficients(
     """
     if n < 0:
         raise DomainError("coefficient count needs n >= 0")
-    return np.array(_coeffs_cached(n, prec.rel_tol, prec.max_terms))
+    return np.array(_coeffs_cached(n))
 
 
-def partial_sum(n: int, prec: EvalPrecision = DEFAULT_PRECISION) -> ChebSeries:
+def partial_sum(n: int) -> ChebSeries:
     """The degree-n truncation f_n = sum_{k<=n} a_k T_k as a T-basis series."""
-    return ChebSeries(exp_cheb_coefficients(n, prec))
+    return ChebSeries(exp_cheb_coefficients(n))
 
 
 def taylor_eval(n: int, x):
@@ -113,9 +110,7 @@ def taylor_sandwich(n: int, x: float) -> Enclosure:
     )
 
 
-def cheb_sandwich(
-    n: int, x: float, prec: EvalPrecision = DEFAULT_PRECISION
-) -> Enclosure:
+def cheb_sandwich(n: int, x: float) -> Enclosure:
     """Chebyshev bracket f_{2n-1}(x) <= exp(x) <= f_{2n}(x) for x < -1.
 
     ``n`` counts bracket pairs, so the polynomial degrees are 2n-1 and 2n.
@@ -126,8 +121,8 @@ def cheb_sandwich(
         raise DomainError("the Chebyshev bracket needs n >= 1")
     if not x < -1.0:
         raise DomainError("the Chebyshev bracket is certified on x < -1 only")
-    lo_series = partial_sum(2 * n - 1, prec)
-    hi_series = partial_sum(2 * n, prec)
+    lo_series = partial_sum(2 * n - 1)
+    hi_series = partial_sum(2 * n)
     return Enclosure(
         x=float(x),
         lower=clenshaw_eval(lo_series, x),
@@ -137,7 +132,7 @@ def cheb_sandwich(
     )
 
 
-def endpoint_gap(n: int, prec: EvalPrecision = DEFAULT_PRECISION) -> float:
+def endpoint_gap(n: int) -> float:
     """f_n(-1) - exp(-1): >= 0 for even n, <= 0 for odd n (to ~1e-13).
 
     Because T_k(-1) = (-1)^k and the coefficients decrease, the truncation
@@ -146,12 +141,10 @@ def endpoint_gap(n: int, prec: EvalPrecision = DEFAULT_PRECISION) -> float:
     """
     if n < 0:
         raise DomainError("endpoint_gap needs n >= 0")
-    return clenshaw_eval(partial_sum(n, prec), -1.0) - math.exp(-1.0)
+    return clenshaw_eval(partial_sum(n), -1.0) - math.exp(-1.0)
 
 
-def sup_error_comparison(
-    n: int, grid_points: int, prec: EvalPrecision = DEFAULT_PRECISION
-) -> tuple[float, float]:
+def sup_error_comparison(n: int, grid_points: int) -> tuple[float, float]:
     """Sup-norm errors of f_n and the degree-n Maclaurin sum on [-1, 1].
 
     Both maxima are taken over a uniform grid of ``grid_points`` points; the
@@ -163,6 +156,6 @@ def sup_error_comparison(
         raise DomainError("grid must have at least 100 points")
     grid = np.linspace(-1.0, 1.0, grid_points)
     ref = np.exp(grid)
-    cheb_err = float(np.max(np.abs(clenshaw_eval(partial_sum(n, prec), grid) - ref)))
+    cheb_err = float(np.max(np.abs(clenshaw_eval(partial_sum(n), grid) - ref)))
     taylor_err = float(np.max(np.abs(taylor_eval(n, grid) - ref)))
     return cheb_err, taylor_err

@@ -1,12 +1,13 @@
+import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
 from chebbound import (
     DomainError,
-    EvalPrecision,
     NonConvergenceError,
     bessel_i,
     bessel_i_enclosure,
@@ -38,6 +39,13 @@ class TestBesselI:
     def test_matches_oracle(self, n, x):
         assert bessel_i(n, x) == pytest.approx(float(oracles.mp_bessel_i(n, x)), rel=1e-13)
 
+    def test_values_are_locked_bit_for_bit(self):
+        # every bit, where the oracle check above allows 1e-13
+        vals = np.array([bessel_i(n, x) for n in range(0, 31) for x in GRID_X], dtype=np.float64)
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == (
+            "e8cd820baf73ed7b1f5f9a51d9d388cec6aab8149e5f58156fa54c365826cab4"
+        )
+
     @pytest.mark.parametrize("n", range(0, 31))
     def test_monotone_in_order_at_one(self, n):
         assert bessel_i(n, 1.0) > bessel_i(n + 1, 1.0)
@@ -57,15 +65,18 @@ class TestBesselI:
 
     def test_nonconvergence_signalled(self):
         with pytest.raises(NonConvergenceError):
-            bessel_i(0, 2.0, EvalPrecision(rel_tol=1e-15, max_terms=2))
+            bessel_i(0, 1e3)
 
-    def test_precision_validation(self):
-        with pytest.raises(ValueError):
-            EvalPrecision(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            EvalPrecision(rel_tol=1.5)
-        with pytest.raises(ValueError):
-            EvalPrecision(max_terms=0)
+    # the limits of the fixed stop rule that the docs state; the digests above
+    # do not move when the tolerance or the term cap change a little
+    @pytest.mark.parametrize("n, x", ((150, 1.0), (170, 2.0), (0, 262.0)))
+    def test_last_values_inside_the_limits(self, n, x):
+        assert 0.0 < bessel_i(n, x) < math.inf
+
+    @pytest.mark.parametrize("n, x", ((151, 1.0), (171, 2.0), (0, 263.0)))
+    def test_first_values_past_the_limits_raise(self, n, x):
+        with pytest.raises(NonConvergenceError):
+            bessel_i(n, x)
 
 
 class TestEnclosure:
@@ -140,8 +151,7 @@ class TestRecurrence:
     @pytest.mark.parametrize("n", range(1, 31))
     @pytest.mark.parametrize("x", (0.5, 1.0, 2.0))
     def test_relative_residual_small(self, n, x):
-        prec = EvalPrecision(rel_tol=1e-15, max_terms=200)
-        rel = recurrence_residual(n, x, prec) / (n * bessel_i(n, x, prec))
+        rel = recurrence_residual(n, x) / (n * bessel_i(n, x))
         assert rel <= 1e-12
 
     def test_needs_order_at_least_one(self):

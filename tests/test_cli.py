@@ -381,6 +381,18 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize("args", (
+    ["coeffs", "--n", "151"],
+    ["enclose", "--n", "76", "--x=-3"],
+    ["sweep", "--n", "76", "--x-min=-4", "--x-max=-2", "--points", "3"],
+))
+def test_past_the_series_limit_is_exit_2_with_one_line(run_cli, args):
+    code, out, err = run_cli(args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"chebbound {args[0]}: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", (
     ["enclose", "--n", "2", "--x=-inf"],
     ["enclose", "--n", "2", "--x=-1e200"],
     ["sweep", "--n", "4", "--x-min=-1e300", "--x-max=-2", "--log-grid", "--points", "3000",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -46,6 +47,12 @@ class TestCoefficients:
     def test_rejects_negative_degree(self):
         with pytest.raises(DomainError):
             exp_cheb_coefficients(-1)
+
+    def test_locked_bit_for_bit_up_to_the_series_limit(self):
+        # order 150 is the last the float series reaches at x = 1
+        assert hashlib.sha256(exp_cheb_coefficients(150).tobytes()).hexdigest() == (
+            "927bdb3ce3732a88e815061abab7e7945fb195b6cb123960478ff373f25a8c73"
+        )
 
 
 class TestPartialSum:
