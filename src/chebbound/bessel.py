@@ -8,10 +8,11 @@ summed with a multiplicatively updated term so no explicit factorial is ever
 formed.  Alongside the point values the module provides the two-sided
 enclosure
 
-    (x/2)^n / n!  <  I_n(x)  <  cosh(x) (x/2)^n / n!      (x > 0)
+    (x/2)^n / n!  <  I_n(x)  <  cosh(x) (x/2)^n / n!      (x > 0),
 
-and the ratio estimate I_{n+1}(x)/I_n(x) <= cosh(x) x / (2(n+1)), which
-specialises at x = 1 to the exact rational 4/(5(n+1)).
+rounded outward to floats, and the ratio estimate
+I_{n+1}(x)/I_n(x) <= cosh(x) x / (2(n+1)), which specialises at x = 1 to
+the exact rational 4/(5(n+1)).
 
 The float sum stops once the next term falls below 1e-15 of the running sum,
 after at most 200 terms; no downward recurrence is implemented.  The rule
@@ -24,6 +25,7 @@ about x = 262.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,15 +131,68 @@ def bessel_i(n: int, x: float) -> float:
     return series_sum(n, float(x))
 
 
+# the float range, and math.cosh taken as within 2 ulps of cosh(x), with a
+# margin of 4 ulps (2^-50 relative) on the upper end
+_FLOAT_MAX = Fraction(sys.float_info.max)
+_COSH_MARGIN = 1 + Fraction(1, 2**50)
+
+
+def _leading_term_bounds(n: int, x: float) -> tuple[Fraction, Fraction]:
+    """Exact rational bounds on (x/2)^n / n!.
+
+    The product runs on a mantissa that frexp keeps in [0.5, 1), with the
+    binary exponent in a Python int, so no step overflows or underflows.
+    Each of its 2n roundings has relative error at most u = 2^-53, so the
+    result is within gamma_2n = 2nu / (1 - 2nu) <= 4nu of (x/2)^n / n!
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Lemma 3.1).
+    """
+    xm, xe = math.frexp(x)
+    m, e = 1.0, n * (xe - 1)
+    for k in range(1, n + 1):
+        m, de = math.frexp(m * xm / k)
+        e += de
+    value = Fraction(m) * Fraction(2) ** e
+    rel = Fraction(4 * n, 2**53)
+    return value * (1 - rel), value * (1 + rel)
+
+
+def _float_toward(q: Fraction, up: bool) -> float:
+    """The float nearest to q on its upper (or lower) side; q is in the float range."""
+    f = float(q)
+    if f < q if up else f > q:
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
+
+
 def bessel_i_enclosure(n: int, x: float) -> Interval:
     """Two-sided enclosure of I_n(x).
 
     Returns the interval [(x/2)^n/n!, cosh(x) (x/2)^n/n!], which contains
-    I_n(x) strictly in its interior for every x > 0.
+    I_n(x) strictly in its interior for every x > 0, rounded outward to
+    floats: the lower end can round down to 0.0 where (x/2)^n/n! underflows,
+    and the upper end is at least the smallest subnormal, 5e-324.
+
+    Raises
+    ------
+    DomainError
+        If n < 0 or x <= 0, or if the upper end exceeds the largest float
+        (about 1.8e308): for I_0 from just above x = 710.4758600739439, where
+        cosh(x) overflows, and first of all orders for I_238, from about
+        x = 476.0875.
     """
     _check_order_and_x(n, x)
-    lo = _leading_term(n, float(x) / 2.0)
-    return Interval(lo, math.cosh(x) * lo)
+    overflow = DomainError(f"the enclosure of I_{n}({x!r}) exceeds the float range")
+    try:
+        # math.cosh raises past x = 710.47..., and Fraction(inf) at x = inf
+        cosh = Fraction(math.cosh(x)) * _COSH_MARGIN
+    except OverflowError:
+        raise overflow from None
+    lo, hi = _leading_term_bounds(n, float(x))
+    hi *= cosh
+    if hi > _FLOAT_MAX:
+        raise overflow
+    return Interval(_float_toward(lo, up=False), _float_toward(hi, up=True))
 
 
 def bessel_ratio_bound(n: int, x: float, specialize: bool = False):

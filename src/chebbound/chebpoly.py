@@ -10,11 +10,17 @@ expansion
     U_n = 2 (T_n + T_{n-2} + ...) - [n even],
 
 so every result stays in the single canonical T basis.
+
+Every evaluator takes a scalar or an array of points.  A scalar (a Python
+or numpy int or float, or a 0-d array) is evaluated in Python floats and
+gives a Python float; any other array gives a float64 ndarray of its shape.
+Both run the same kernel, so a point gives the same bits either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,55 +34,62 @@ __all__ = ["ChebSeries", "eval_T", "eval_U", "clenshaw_eval", "differentiate", "
 class ChebSeries:
     """Polynomial sum_j coeffs[j] * T_j given by its T-basis coefficients.
 
-    ``coeffs`` is stored as a float64 array of length degree + 1 and must be
-    treated as read-only after construction.
+    ``coeffs`` is stored as a read-only float64 copy of length degree + 1.
+    The evaluators read the coefficients from ``values``, a tuple of Python
+    floats made from that copy on first use.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))
+        arr = np.array(self.coeffs, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a series needs at least one coefficient")
         if not np.all(np.isfinite(arr)):
             raise ValueError("series coefficients must be finite")
+        # a write would leave ``values`` stale, and cached series are shared
+        arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
 
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        """The coefficients as Python floats, as the kernels read them."""
+        return tuple(self.coeffs.tolist())
+
 
 def _as_points(x):
+    """x as the kernels take it: a Python float for a scalar, else a float64 array."""
+    if isinstance(x, (int, float)):
+        return float(x)
     arr = np.asarray(x, dtype=np.float64)
-    return np.atleast_1d(arr), arr.ndim == 0
+    return float(arr) if arr.ndim == 0 else arr
 
 
-def _clenshaw(coeffs, x):
-    pts, scalar = _as_points(x)
-    out = _kernels.clenshaw_kernel(coeffs, pts)
-    return float(out[0]) if scalar else out
+def _clenshaw(values, x):
+    return _kernels.clenshaw_kernel(values, _as_points(x))
 
 
 def eval_T(n: int, x):
     """T_n(x) for n >= 0; accepts a scalar or an array of points."""
     if n < 0:
         raise DomainError("T_n needs n >= 0")
-    e_n = np.zeros(n + 1)
-    e_n[n] = 1.0
-    return _clenshaw(e_n, x)
+    return _clenshaw((0.0,) * n + (1.0,), x)
 
 
 def eval_U(n: int, x):
     """U_n(x) for n >= -1 (U_{-1} is identically 0); scalar or array."""
     if n < -1:
         raise DomainError("U_n needs n >= -1")
-    return _clenshaw(np.array(u_to_t_coeffs(n), dtype=np.float64), x)
+    return _clenshaw(tuple(map(float, u_to_t_coeffs(n))), x)
 
 
 def clenshaw_eval(s: ChebSeries, x):
     """Evaluate a T-basis series by Clenshaw's recurrence; scalar or array."""
-    return _clenshaw(s.coeffs, x)
+    return _clenshaw(s.values, x)
 
 
 def differentiate_coeffs(coeffs):

@@ -126,13 +126,18 @@ def _write(out, text: str) -> None:
         data = data[raw.write(data):]
 
 
-def _emit_table(args, columns, rows, payload=None, default="csv") -> None:
-    """Write ``rows`` (tuples of Python values, one type per column) as CSV or JSON.
+def _output(args):
+    return nullcontext(sys.stdout) if args.output is None else open(args.output, "w", newline="")
 
-    JSON writes ``payload`` if one is given, else one object per row keyed by
-    ``columns``, as ``json.dumps(..., indent=2)`` does.  Rows are formatted with
-    one ``%`` template and written ``_SWEEP_BLOCK`` at a time, to ``--output``
-    if set, else to stdout.
+
+def _emit_blocks(args, columns, blocks, default="csv") -> None:
+    """Write a table given as ``blocks`` of columns, as CSV or JSON.
+
+    Each block is a sequence of equal-length columns of Python values, one
+    type per column.  JSON writes one object per row keyed by ``columns``, as
+    ``json.dumps(..., indent=2)`` does.  Each block is formatted with one
+    ``%`` template and written as it comes, to ``--output`` if set, else to
+    stdout.
     """
     as_json = (args.format or default) == "json"
     if as_json:
@@ -141,22 +146,35 @@ def _emit_table(args, columns, rows, payload=None, default="csv") -> None:
     else:
         start = empty = ",".join(columns) + "\n"
         sep = end = "\n"
-    with nullcontext(sys.stdout) if args.output is None else open(args.output, "w", newline="") as out:
-        if as_json and payload is not None:
-            _write(out, json.dumps(payload, indent=2) + "\n")
-            return
-        rows, lead = iter(rows), None
-        while block := list(islice(rows, _SWEEP_BLOCK)):
-            fields, cells = zip(*map(_column, columns, zip(*block), repeat(as_json)))
+    with _output(args) as out:
+        lead = None
+        for block in blocks:
+            fields, cells = zip(*map(_column, columns, block, repeat(as_json)))
             if as_json:
                 template = "  {\n" + ",\n".join(f"    {k}: {f}" for k, f in zip(keys, fields)) + "\n  }"
             else:
                 template = ",".join(fields)
             cells = [c for c in cells if c is not None]
-            lines = map(template.__mod__, zip(*cells) if cells else repeat((), len(block)))
+            lines = map(template.__mod__, zip(*cells) if cells else repeat((), len(block[0])))
             _write(out, (lead or start) + sep.join(lines))
             lead = sep
         _write(out, end if lead else empty)
+
+
+def _emit_table(args, columns, rows, payload=None, default="csv") -> None:
+    """Write ``rows`` (tuples of Python values, one type per column) as CSV or JSON.
+
+    JSON writes ``payload`` if one is given, else what :func:`_emit_blocks`
+    writes for the rows taken ``_SWEEP_BLOCK`` at a time.
+    """
+    if payload is not None and (args.format or default) == "json":
+        with _output(args) as out:
+            _write(out, json.dumps(payload, indent=2) + "\n")
+        return
+    rows = iter(rows)
+    # the next rows transposed into columns, until an empty block
+    blocks = iter(lambda: list(zip(*islice(rows, _SWEEP_BLOCK))), [])
+    _emit_blocks(args, columns, blocks, default)
 
 
 def _cmd_coeffs(args) -> int:
@@ -202,14 +220,14 @@ def _cmd_sweep(args) -> int:
     ]
     if args.with_taylor:
         cols += [taylor_eval(2 * args.n - 1, grid), taylor_eval(2 * args.n, grid)]
-    absent = [] if args.with_taylor else [repeat(None), repeat(None)]
 
-    def rows():
-        # Python floats one block at a time: the full row list is never built
+    def blocks():
+        # Python floats one block at a time: the full table is never built
         for i in range(0, grid.size, _SWEEP_BLOCK):
-            yield from zip(*[c[i:i + _SWEEP_BLOCK].tolist() for c in cols], *absent)
+            block = [c[i:i + _SWEEP_BLOCK].tolist() for c in cols]
+            yield block if args.with_taylor else block + [[None] * len(block[0])] * 2
 
-    _emit_table(args, SWEEP_COLUMNS, rows())
+    _emit_blocks(args, SWEEP_COLUMNS, blocks())
     return 0
 
 

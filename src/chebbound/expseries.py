@@ -68,28 +68,31 @@ def exp_cheb_coefficients(n: int) -> np.ndarray:
     """Coefficients a_0..a_n of the Chebyshev expansion of exp on [-1, 1].
 
     All entries are positive and strictly decreasing from a_1 on, with
-    a_{k+1}/a_k <= 4/(5(k+1)).
+    a_{k+1}/a_k <= 4/(5(k+1)).  Each call returns a fresh, writable array.
     """
     if n < 0:
         raise DomainError("coefficient count needs n >= 0")
     return np.array(_coeffs_cached(n))
 
 
+@lru_cache(maxsize=None)
 def partial_sum(n: int) -> ChebSeries:
-    """The degree-n truncation f_n = sum_{k<=n} a_k T_k as a T-basis series."""
+    """The degree-n truncation f_n = sum_{k<=n} a_k T_k as a T-basis series.
+
+    One series per degree, shared by every caller.
+    """
     return ChebSeries(exp_cheb_coefficients(n))
 
 
 def taylor_eval(n: int, x):
     """Degree-n Maclaurin partial sum of exp, by Horner accumulation.
 
-    Accepts a scalar or an array of points.
+    Accepts a scalar (giving a Python float) or an array of points (giving
+    an ndarray), as the evaluators of :mod:`chebbound.chebpoly` do.
     """
     if n < 0:
         raise DomainError("taylor_eval needs n >= 0")
-    pts, scalar = _as_points(x)
-    out = _kernels.taylor_kernel(n, pts)
-    return float(out[0]) if scalar else out
+    return _kernels.taylor_kernel(n, _as_points(x))
 
 
 def taylor_sandwich(n: int, x: float) -> Enclosure:

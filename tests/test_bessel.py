@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import oracles
 from chebbound import (
     DomainError,
+    Interval,
     NonConvergenceError,
     bessel_i,
     bessel_i_enclosure,
@@ -107,6 +109,28 @@ class TestEnclosure:
     def test_rejects_nonpositive_x(self):
         with pytest.raises(DomainError):
             bessel_i_enclosure(0, -0.5)
+
+    @pytest.mark.parametrize("n, x", (
+        (200, 1.0), (160, 1.0), (150, 1.0), (1000, 2.0), (3, 5e-324), (0, 5e-324), (1, 1e-8),
+        (0, 1e-8), (30, 0.1), (300, 450.0), (2000, 700.0), (238, 476.0875), (0, 710.4758600739439),
+    ))
+    def test_holds_the_40_digit_value(self, n, x):
+        enc = bessel_i_enclosure(n, x)
+        with mp.workdps(40):
+            assert enc.lo <= mp.besseli(n, x) <= enc.hi
+
+    def test_an_underflowing_leading_term_rounds_outward(self):
+        assert bessel_i_enclosure(200, 1.0) == Interval(0.0, 5e-324)
+        assert bessel_i_enclosure(150, 1.0).lo > 0.0
+
+    # the limits the docstring and the README state
+    @pytest.mark.parametrize("n, x", (
+        (0, 800.0), (0, math.inf), (0, math.nextafter(710.4758600739439, math.inf)),
+        (300, 700.0), (238, 476.0876),
+    ))
+    def test_an_upper_end_past_the_float_range_is_a_domain_error(self, n, x):
+        with pytest.raises(DomainError, match="float range"):
+            bessel_i_enclosure(n, x)
 
 
 class TestRatioBound:

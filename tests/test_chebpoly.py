@@ -11,6 +11,7 @@ from chebbound import (
     eval_T,
     eval_U,
     partial_sum,
+    taylor_eval,
     u_to_t,
 )
 
@@ -151,9 +152,44 @@ class TestUtoT:
             u_to_t(-1)
 
 
+def test_a_series_keeps_a_read_only_copy():
+    coeffs = np.array([1.0, 2.0, 3.0])
+    s = ChebSeries(coeffs)
+    coeffs[1] = 0.0
+    assert clenshaw_eval(s, -2.0) == clenshaw_eval(s, np.array([-2.0]))[0] == 18.0
+    with pytest.raises(ValueError):
+        s.coeffs[1] = 0.0
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         ChebSeries(np.array([]))
     with pytest.raises(ValueError):
         ChebSeries(np.array([1.0, np.nan]))
     assert ChebSeries(np.array([1.0, 0.0, 2.0])).degree == 2
+
+
+SCALAR_INPUTS = (-3, -2.5, np.float64(-2.5), np.array(-2.5))
+EVALUATORS = {
+    "clenshaw_eval": lambda x: clenshaw_eval(partial_sum(6), x),
+    "eval_T": lambda x: eval_T(5, x),
+    "eval_U": lambda x: eval_U(5, x),
+    "taylor_eval": lambda x: taylor_eval(5, x),
+}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+@pytest.mark.parametrize("x", SCALAR_INPUTS, ids=("int", "float", "float64", "0-d"))
+def test_a_scalar_point_gives_a_python_float(name, x):
+    evaluate = EVALUATORS[name]
+    out = evaluate(x)
+    assert type(out) is float
+    # the same bits as the point inside an array
+    assert out == evaluate(np.array([x], dtype=np.float64))[0]
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+@pytest.mark.parametrize("shape", ((3,), (2, 3)))
+def test_an_array_of_points_gives_an_array_of_its_shape(name, shape):
+    out = EVALUATORS[name](np.full(shape, -2.5))
+    assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64

@@ -66,6 +66,20 @@ class TestPartialSum:
         s = partial_sum(0)
         assert clenshaw_eval(s, -7.3) == clenshaw_eval(s, 4.2)
 
+    def test_one_shared_read_only_series_per_degree(self):
+        s = partial_sum(7)
+        assert partial_sum(7) is s
+        assert s.coeffs.tolist() == exp_cheb_coefficients(7).tolist()
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 0.0
+
+    def test_coefficients_stay_fresh_and_writable(self):
+        partial_sum(7)
+        a, b = exp_cheb_coefficients(7), exp_cheb_coefficients(7)
+        assert a is not b and a.flags.writeable
+        a[0] = 0.0
+        assert b[0] == exp_cheb_coefficients(7)[0] == partial_sum(7).coeffs[0] != 0.0
+
 
 class TestTaylorEval:
     def test_linear(self):
@@ -80,6 +94,11 @@ class TestTaylorEval:
     def test_array_input(self):
         xs = np.array([-1.0, 0.0])
         np.testing.assert_allclose(taylor_eval(1, xs), [0.0, 1.0])
+
+    def test_degree_zero_is_one_everywhere(self):
+        xs = np.array([-math.inf, -2.0, -0.0, math.inf, math.nan])
+        assert taylor_eval(0, xs).tolist() == [1.0] * 5
+        assert [taylor_eval(0, x) for x in xs.tolist()] == [1.0] * 5
 
 
 class TestTaylorSandwich:
