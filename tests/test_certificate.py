@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -101,6 +102,14 @@ class TestBuilders:
             i_n, i_np1 = oracles.mp_bessel_i(n, 1), oracles.mp_bessel_i(n + 1, 1)
             expected = [float(i_n * un[j] + i_np1 * unm1[j]) for j in range(n + 1)]
         assert build(n).coeffs.tolist() == expected
+
+    @pytest.mark.parametrize("build", (build_G_via_reduction, build_G_closed_form))
+    def test_coefficients_locked_bit_for_bit(self, build):
+        # every coefficient of G_1..G_64, the range `certify --range 1..64` prints
+        digest = hashlib.sha256()
+        for n in range(1, 65):
+            digest.update(build(n).coeffs.tobytes())
+        assert digest.hexdigest() == "4c24e040a934ab9f587091439b82ae6fa39cbbbffbf5a4d1f29150e8cca08623"
 
     def test_rejects_negative_degree(self):
         with pytest.raises(DomainError):
