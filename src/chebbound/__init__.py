@@ -29,7 +29,7 @@ from .certificate import (
     sign_certificate,
 )
 from .chebpoly import ChebSeries, clenshaw_eval, differentiate, eval_T, eval_U, u_to_t
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
 from .expseries import (
     Enclosure,
     cheb_sandwich,
@@ -49,7 +49,6 @@ __all__ = [
     "DomainError",
     "Enclosure",
     "Interval",
-    "NonConvergenceError",
     "QuadraticInE",
     "bessel_i",
     "bessel_i_enclosure",

@@ -11,10 +11,11 @@ quadratic-in-e^t decomposition that exhibits the sign, and issues a
 per-degree accept/reject certificate from three exact rational discriminant
 conditions on the ratio bound 4/(5(N+1)).
 
-Coefficients rest on fixed-point integers: each I_k(1) is summed in
-integers scaled by 2^bits, flooring every term, so it lies below I_k(1) by
-less than (terms + 2) units of 2^-bits, and the algebra on top is exact
-(fractions).  2^-bits is 2^112 or more times smaller than I_N(1), the size
+Coefficients rest on fixed-point integers: each I_k(1) is the lower end of
+:func:`chebbound.bessel.series_sum` at x = 1, the series summed in integers
+scaled by 2^bits with every term floored, so it lies below I_k(1) by less
+than (terms + 2) units of 2^-bits, and the algebra on top is exact
+(integers and fractions).  2^-bits is 2^112 or more times smaller than I_N(1), the size
 of the residuals that the reduction route leaves after cancelling terms of
 order one, so the one rounding that shows is the final cast of each
 coefficient to float64.
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import bessel_i, bessel_ratio_bound
+from .bessel import bessel_i, bessel_ratio_bound, series_sum
 from .chebpoly import (
     ChebSeries,
     clenshaw_eval,
@@ -65,21 +66,6 @@ def _working_bits(n: int) -> int:
     return math.ceil(digits * math.log2(10))
 
 
-def _bessel_at_one(k: int, bits: int) -> Fraction:
-    """I_k(1) to a multiple of 2^-bits, low by less than (terms + 2) units.
-
-    Term m, (1/2)^(2m+k) / (m! (m+k)!), is held as floor(2^bits term): the
-    floors nest, so each update ``term //= 4m(m+k)`` keeps that exactly.
-    """
-    term = (1 << bits) // ((1 << k) * math.factorial(k))
-    total, m = 0, 0
-    while term:
-        total += term
-        m += 1
-        term //= 4 * m * (m + k)
-    return Fraction(total, 1 << bits)
-
-
 @lru_cache(maxsize=None)
 def build_G_via_reduction(n: int) -> ChebSeries:
     """G_n obtained as f_n minus its derivative, both in the T basis.
@@ -92,7 +78,9 @@ def build_G_via_reduction(n: int) -> ChebSeries:
     if n < 0:
         raise DomainError("build_G_via_reduction needs n >= 0")
     bits = _working_bits(n)
-    a = [_bessel_at_one(0, bits)] + [2 * _bessel_at_one(k, bits) for k in range(1, n + 1)]
+    # a_0 = I_0(1) and a_k = 2 I_k(1), doubled on the integer sum: a Fraction
+    # product would pay a second gcd of bits-long numbers per coefficient
+    a = [Fraction((2 if k else 1) * series_sum(k, 1.0, bits)[0], 1 << bits) for k in range(n + 1)]
     d = differentiate_coeffs(a)
     g = [a[j] - (d[j] if j < len(d) else 0) for j in range(n)]
     g.append(a[n])
@@ -103,18 +91,18 @@ def build_G_via_reduction(n: int) -> ChebSeries:
 def build_G_closed_form(n: int) -> ChebSeries:
     """G_n assembled as I_n(1) U_n + I_{n+1}(1) U_{n-1} in the T basis.
 
-    Uses the exact integer U-to-T expansions, so the only rounding is the
-    final cast of each coefficient to float64.
+    Combines the integer sums (the Bessel values times 2^bits) with the
+    exact integer U-to-T expansions, so the only rounding is the final,
+    correctly rounded division of each coefficient by 2^bits.
     """
     if n < 0:
         raise DomainError("build_G_closed_form needs n >= 0")
     bits = _working_bits(n)
-    i_n = _bessel_at_one(n, bits)
-    i_np1 = _bessel_at_one(n + 1, bits)
+    i_n, i_np1 = (series_sum(k, 1.0, bits)[0] for k in (n, n + 1))
     un = u_to_t_coeffs(n)
     unm1 = u_to_t_coeffs(n - 1)
     g = [i_n * un[j] + (i_np1 * unm1[j] if j < len(unm1) else 0) for j in range(n + 1)]
-    return ChebSeries(np.array([float(v) for v in g], dtype=np.float64))
+    return ChebSeries(np.array([v / (1 << bits) for v in g], dtype=np.float64))
 
 
 @lru_cache(maxsize=None)
@@ -128,15 +116,10 @@ def decomposition_poly(n: int) -> ChebSeries:
     """
     if n < 1:
         raise DomainError("decomposition_poly needs n >= 1")
-    i_n = bessel_i(n, 1.0)
-    i_np1 = bessel_i(n + 1, 1.0)
-    unm1 = u_to_t_coeffs(n - 1)
-    unm2 = u_to_t_coeffs(n - 2)
+    i_n, i_np1 = bessel_i(n, 1.0), bessel_i(n + 1, 1.0)
     c = np.zeros(n + 1)
-    for j, v in enumerate(unm1):
-        c[j] += i_np1 * v
-    for j, v in enumerate(unm2):
-        c[j] += i_n * v
+    for value, u in ((i_np1, u_to_t_coeffs(n - 1)), (i_n, u_to_t_coeffs(n - 2))):
+        c[:len(u)] += value * np.array(u, dtype=np.float64)
     c[0] -= i_n
     c[n] += i_n
     return ChebSeries(c)
@@ -315,8 +298,8 @@ def grid_sign_scan(n: int, x_min: float, points: int) -> bool:
     """
     if n < 1:
         raise DomainError("grid_sign_scan needs n >= 1")
-    if not x_min < -1.0:
-        raise DomainError("grid_sign_scan needs x_min < -1")
+    if not -math.inf < x_min < -1.0:
+        raise DomainError("grid_sign_scan needs a finite x_min < -1")
     if points < 10:
         raise DomainError("grid_sign_scan needs at least 10 points")
     grid = -np.geomspace(-x_min, 1.0 + 1e-6, points)

@@ -8,9 +8,10 @@ come from numpy's ``exp`` and ``geomspace``, whose AVX-512 path can differ
 from the others in the last bit.
 
 Exit codes: 0 success, 1 any rejected certificate (``certify`` only) or a
-failed write, 2 invalid arguments, domain violations, or inputs past the
-float Bessel series' limit (``coeffs --n 151`` and above, bracket pairs
-``--n 76`` and above), each with one line on stderr.
+failed write, 2 invalid arguments or domain violations, each with one line
+on stderr.  Domain violations include inputs that need a coefficient a_k
+below the smallest normal float, k >= 151: ``coeffs --n 151`` and above,
+bracket pairs ``--n 76`` and above.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .certificate import sign_certificate
 from .chebpoly import clenshaw_eval
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
 from .expseries import (
     cheb_sandwich,
     exp_cheb_coefficients,
@@ -287,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         # would put its source lines on stderr, which carries chebbound's own
         with np.errstate(over="ignore", invalid="ignore"):
             return _DISPATCH[args.command](args)
-    except (DomainError, NonConvergenceError) as exc:
+    except DomainError as exc:
         print(f"chebbound {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

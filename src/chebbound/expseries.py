@@ -13,6 +13,7 @@ Maclaurin pairing (N, N+1) for odd N and x < 0 is provided as the baseline.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,16 +60,22 @@ class Enclosure:
 
 @lru_cache(maxsize=None)
 def _coeffs_cached(n: int) -> tuple[float, ...]:
-    out = [bessel_i(0, 1.0)]
-    out.extend(2.0 * bessel_i(k, 1.0) for k in range(1, n + 1))
-    return tuple(out)
+    # the coefficients fall with k, so a_n is the first to check
+    if 2.0 * bessel_i(n, 1.0) < sys.float_info.min:
+        raise DomainError(f"a_{n} is below the smallest normal float; the last above it is a_150")
+    return tuple((2.0 if k else 1.0) * bessel_i(k, 1.0) for k in range(n + 1))
 
 
 def exp_cheb_coefficients(n: int) -> np.ndarray:
     """Coefficients a_0..a_n of the Chebyshev expansion of exp on [-1, 1].
 
     All entries are positive and strictly decreasing from a_1 on, with
-    a_{k+1}/a_k <= 4/(5(k+1)).  Each call returns a fresh, writable array.
+    a_{k+1}/a_k <= 4/(5(k+1)).  Each is the correctly rounded 2 I_k(1)
+    (I_0(1) for a_0), so within half an ulp of its true value.  Each call
+    returns a fresh, writable array.
+
+    Raises DomainError from n = 151 on: a_151 = 8.1e-311 is below the
+    smallest normal float, where half an ulp is no longer a relative bound.
     """
     if n < 0:
         raise DomainError("coefficient count needs n >= 0")

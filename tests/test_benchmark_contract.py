@@ -50,7 +50,8 @@ def test_every_benchmark_per_layer_metric_is_computed():
 
 def test_the_bessel_spans_record_calls():
     # the tracer patches module namespaces, so a call that bypasses them
-    # (a private copy, a renamed helper) would leave the metric at zero
+    # (a private copy, a renamed helper) would leave the metric at zero;
+    # each printed pair is a span and the span that called it
     script = f"""
 import sys
 sys.path.insert(0, {str(TRACER.parent)!r})
@@ -62,10 +63,12 @@ chebbound.bessel_i(3, 1.0)
 chebbound.build_G_via_reduction(5)
 chebbound.build_G_closed_form(6)
 chebbound.exp_cheb_coefficients(4)
-print(" ".join(sorted({{s[0] for s in t.spans}})))
+print(" ".join(sorted({{s[0] + "<" + (t.spans[s[3]][0] if s[3] >= 0 else "") for s in t.spans}})))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    names = set(proc.stdout.split())
-    assert {"bessel.bessel_i", "bessel.series_sum", "certificate.build_G_via_reduction",
-            "certificate.build_G_closed_form", "expseries.exp_cheb_coefficients"} <= names
+    calls = set(proc.stdout.split())
+    assert {"bessel.bessel_i<", "bessel.series_sum<bessel.bessel_i",
+            "bessel.series_sum<certificate.build_G_via_reduction",
+            "bessel.series_sum<certificate.build_G_closed_form",
+            "bessel.bessel_i<expseries.exp_cheb_coefficients"} <= calls

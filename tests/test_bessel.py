@@ -1,4 +1,3 @@
-import hashlib
 import math
 from fractions import Fraction
 
@@ -10,12 +9,12 @@ import oracles
 from chebbound import (
     DomainError,
     Interval,
-    NonConvergenceError,
     bessel_i,
     bessel_i_enclosure,
     bessel_ratio_bound,
     recurrence_residual,
 )
+from chebbound.bessel import series_sum
 
 # frozen from the factorial-series oracle at 80 digits
 I0_AT_1 = 1.2660658777520084
@@ -24,6 +23,15 @@ I2_AT_1 = 0.1357476697670383
 COSH_1 = 1.5430806348152437
 
 GRID_X = (0.1, 0.5, 1.0, 2.0)
+
+
+def _nearest(value) -> float:
+    """The float nearest to an mpmath value, subnormals included.
+
+    Python's float() of a 60-digit decimal rounds once, correctly; float()
+    of an mpf rounds twice below the normal range.
+    """
+    return float(mp.nstr(value, 60))
 
 
 class TestBesselI:
@@ -42,11 +50,15 @@ class TestBesselI:
         assert bessel_i(n, x) == pytest.approx(float(oracles.mp_bessel_i(n, x)), rel=1e-13)
 
     def test_values_are_locked_bit_for_bit(self):
-        # every bit, where the oracle check above allows 1e-13
-        vals = np.array([bessel_i(n, x) for n in range(0, 31) for x in GRID_X], dtype=np.float64)
-        assert hashlib.sha256(vals.tobytes()).hexdigest() == (
-            "e8cd820baf73ed7b1f5f9a51d9d388cec6aab8149e5f58156fa54c365826cab4"
-        )
+        # every bit, where the oracle check above allows 1e-13: each value is
+        # the float nearest to the 80-digit oracle
+        got = [bessel_i(n, x) for n in range(0, 31) for x in GRID_X]
+        assert got == [_nearest(oracles.mp_bessel_i(n, x)) for n in range(0, 31) for x in GRID_X]
+
+    @pytest.mark.parametrize("n", range(0, 158))
+    def test_correctly_rounded_at_one(self, n):
+        # orders 151..156 are subnormal and 157 rounds to 0.0
+        assert bessel_i(n, 1.0) == _nearest(oracles.mp_bessel_i(n, 1))
 
     @pytest.mark.parametrize("n", range(0, 31))
     def test_monotone_in_order_at_one(self, n):
@@ -65,20 +77,58 @@ class TestBesselI:
         with pytest.raises(DomainError):
             bessel_i(-1, 1.0)
 
-    def test_nonconvergence_signalled(self):
-        with pytest.raises(NonConvergenceError):
-            bessel_i(0, 1e3)
-
-    # the limits of the fixed stop rule that the docs state; the digests above
-    # do not move when the tolerance or the term cap change a little
+    # the last values inside the limits of the float series that bessel_i
+    # summed before it summed in integers
     @pytest.mark.parametrize("n, x", ((150, 1.0), (170, 2.0), (0, 262.0)))
     def test_last_values_inside_the_limits(self, n, x):
         assert 0.0 < bessel_i(n, x) < math.inf
 
-    @pytest.mark.parametrize("n, x", ((151, 1.0), (171, 2.0), (0, 263.0)))
-    def test_first_values_past_the_limits_raise(self, n, x):
-        with pytest.raises(NonConvergenceError):
+    # values at and past those limits, and up to the overflow limit; the test
+    # oracle caps its terms, so mpmath's own besseli serves here
+    @pytest.mark.parametrize("n, x", ((151, 1.0), (171, 2.0), (0, 262.0), (0, 263.0), (0, 700.0),
+                                      (0, math.nextafter(713.9869085439683, 0.0))))
+    def test_correctly_rounded_past_the_old_series_limits(self, n, x):
+        with mp.workdps(oracles.DPS):
+            assert bessel_i(n, x) == _nearest(mp.besseli(n, x))
+
+    @pytest.mark.parametrize("n, x", ((10**6, 1.0), (3, 5e-324), (1000, 2.0), (2000, 700.0)))
+    def test_below_half_the_smallest_subnormal_is_zero(self, n, x):
+        assert bessel_i(n, x) == 0.0
+
+    @pytest.mark.parametrize("n, x", ((0, math.inf), (0, 1e300), (0, 1000.0), (0, 713.9869085439683),
+                                      (7, math.inf), (0, 2800.0)))
+    def test_past_the_float_range_is_a_domain_error(self, n, x):
+        with pytest.raises(DomainError, match="float range"):
             bessel_i(n, x)
+
+
+class TestSeriesSum:
+    # bits from the x = 1 certificate sizes down to negative scales at large x
+    @pytest.mark.parametrize("n, x, bits", (
+        (0, 1.0, 60), (5, 1.0, 1200), (64, 1.0, 700), (0, 0.1, 80), (3, 2.0, 90), (10, 5e-3, 500),
+        (0, 3.0, 53), (2, 37.5, 40), (0, 300.0, 80), (40, 450.0, -100), (1, 1e-300, 1100),
+    ))
+    def test_bounds_hold_the_scaled_value(self, n, x, bits):
+        lo, hi = series_sum(n, x, bits)
+        with mp.workdps(1000):
+            scaled = mp.besseli(n, x) * mp.mpf(2) ** bits
+            assert lo <= scaled <= hi
+            assert hi - lo <= 1e-12 * scaled
+
+    def test_x_one_matches_the_nested_floor_sum(self):
+        # term m of I_k(1), floored at 2^-bits, divided by 4m(m+k) from term m-1
+        k, bits = 7, 300
+        term, total, m = (1 << bits) // ((1 << k) * math.factorial(k)), 0, 0
+        while term:
+            total += term
+            m += 1
+            term //= 4 * m * (m + k)
+        assert series_sum(k, 1.0, bits)[0] == total
+
+    @pytest.mark.parametrize("bits", (0, -3))
+    def test_refuses_too_few_bits(self, bits):
+        with pytest.raises(ValueError):
+            series_sum(0, 1.0, bits)
 
 
 class TestEnclosure:
@@ -162,6 +212,29 @@ class TestRatioBound:
     def test_rejects_nonpositive_x(self):
         with pytest.raises(DomainError):
             bessel_ratio_bound(0, 0.0)
+
+    # past x = 710.4758600739439 math.cosh overflows; at 710 the product does
+    @pytest.mark.parametrize("x", (800.0, math.inf, 710.0, math.nextafter(710.4758600739439, math.inf)))
+    def test_past_the_float_range_is_a_domain_error(self, x):
+        with pytest.raises(DomainError, match="float range"):
+            bessel_ratio_bound(0, x)
+
+
+class TestOrders:
+    FUNCTIONS = (bessel_i, bessel_i_enclosure, bessel_ratio_bound, recurrence_residual)
+
+    @pytest.mark.parametrize("fn", FUNCTIONS)
+    @pytest.mark.parametrize("n", (2.5, 3.0, "3", None))
+    def test_a_non_integer_order_is_a_domain_error(self, fn, n):
+        with pytest.raises(DomainError, match="non-negative integer"):
+            fn(n, 1.0)
+
+    @pytest.mark.parametrize("fn", FUNCTIONS)
+    def test_numpy_scalars_give_python_floats(self, fn):
+        got = fn(np.int64(3), np.float64(1.0))
+        values = (got.lo, got.hi) if isinstance(got, Interval) else (got,)
+        assert all(type(v) is float for v in values)
+        assert got == fn(3, 1.0)
 
 
 class TestRecurrence:

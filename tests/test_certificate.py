@@ -254,6 +254,12 @@ class TestGridSignScan:
         with pytest.raises(DomainError):
             grid_sign_scan(2, -100.0, 5)
 
+    @pytest.mark.parametrize("x_min", (-math.inf, math.nan))
+    def test_a_non_finite_left_end_is_a_domain_error(self, x_min):
+        # -inf once passed, and the scan of its nan grid reported a sign failure
+        with pytest.raises(DomainError, match="finite"):
+            grid_sign_scan(3, x_min, 20)
+
 
 def test_transformed_sign_is_simple_for_reduction_polynomial():
     # (-1)^n G_n(-cosh t) sinh t = I_n sinh((n+1)t) - I_{n+1} sinh(n t),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from mpmath import mp
 import oracles
 from chebbound import (
     DomainError,
+    bessel_i,
     bessel_ratio_bound,
     cheb_sandwich,
     clenshaw_eval,
@@ -49,10 +51,21 @@ class TestCoefficients:
             exp_cheb_coefficients(-1)
 
     def test_locked_bit_for_bit_up_to_the_series_limit(self):
-        # order 150 is the last the float series reaches at x = 1
+        # a_150 is the last coefficient above the smallest normal float
         assert hashlib.sha256(exp_cheb_coefficients(150).tobytes()).hexdigest() == (
-            "927bdb3ce3732a88e815061abab7e7945fb195b6cb123960478ff373f25a8c73"
+            "190262ffbc4275202749690fa1c0a2617d34c89021fdd25e0dc625ae74b71ef1"
         )
+
+    def test_each_coefficient_is_correctly_rounded(self):
+        with mp.workdps(oracles.DPS):
+            expected = [float(mp.nstr(a, 60)) for a in oracles.mp_exp_cheb_coeffs(150)]
+        assert exp_cheb_coefficients(150).tolist() == expected
+
+    def test_a_subnormal_coefficient_is_a_domain_error(self):
+        assert exp_cheb_coefficients(150)[-1] >= sys.float_info.min > 2.0 * bessel_i(151, 1.0) > 0.0
+        for n in (151, 152, 10**6):
+            with pytest.raises(DomainError, match="smallest normal float"):
+                exp_cheb_coefficients(n)
 
 
 class TestPartialSum:

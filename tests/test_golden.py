@@ -5,7 +5,11 @@ emitter were merged, and pin every byte of that output.  The ``block_*``
 and ``nonfinite`` cases were added, with digests from the same emitter,
 before the emitter began writing its tables block by block: their sweeps
 cross several 4096-row blocks, and the nonfinite one prints ``NaN`` and
-``Infinity`` cells.  ``sweep`` prints
+``Infinity`` cells.  When the coefficients a_k became correctly rounded
+(1 to 4 ulps moved at 105 of the orders 0..150), every case that prints a
+coefficient or a bracket took new digests; the ``x``, ``exp`` and Maclaurin
+columns kept their bytes, and each bracket cell moved by less than
+4 eps f_n(|x|), the rounding scale of the Clenshaw sum.  ``sweep`` prints
 ``np.exp`` of its grid, and its log grid goes through ``np.geomspace``;
 numpy takes an AVX-512 path for both where the CPU has one, and that path
 differs from libm in the last bit at a few percent of the points.  Each
@@ -25,69 +29,69 @@ BLOCKS = ["sweep", "--n", "3", "--x-min=-40", "--x-max=-1.01", "--points", "1000
 
 GOLDEN = {
     "coeffs_csv": (["coeffs", "--n", "12"],
-                   "4d0fb28f673e28fd4dd317e446ca40af5b6b71029983dc445b374357f64bf200"),
+                   "b39207b832f50bae62ff8ff039eaae810c0fda50abd9b95ed31f5b4c35f8fae8"),
     "coeffs_json": (["coeffs", "--n", "12", "--format", "json"],
-                    "02531ae4ed8556403389751fea290616305d42172caeb653eb950ae7edcfb3fe"),
+                    "eb8ca5059a5148ec8a0a7bf888baeb86ceaf4bc264ff81166af1e6baba19b241"),
     "coeffs_zero_csv": (["coeffs", "--n", "0"],
-                        "e787fc360f2f85e23386e6e49c0455843ea97aac900084b73e3e75655cb0bab7"),
+                        "81453488e424aec370f54851a4ea79e49a0fabf802f2eab9f206a813dbf05cd1"),
     "enclose_csv": (["enclose", "--n", "2", "--x=-3"],
-                    "402dc65126acc57a57e41ad84baeda2a5144259dd682dd0602eeba979c1413c0"),
+                    "7824df0e20ab4af21633ac8e643ac86c7f8a2315a7c1af7dcac7bc035d349fc5"),
     "enclose_json": (["enclose", "--n", "2", "--x=-3", "--format", "json"],
-                     "615b3ba16f62ec43f6211024b71b62f6432367b5c618982d1544af6c69725fa2"),
+                     "41058bc3a234b19eab98f44547f0fe7a09115d4ef236b34856922747a053f07e"),
     "enclose_far_csv": (["enclose", "--n", "16", "--x=-1e4"],
                         "b46f80e64ff22d9a4106d382a150ecad47943a1feb2391ffdbfd6015c878330f"),
     "enclose_far_json": (["enclose", "--n", "16", "--x=-1e4", "--format", "json"],
                          "0ea76c3da0072978ddf4f66daea68bb57a2748096e19db46be89fa60cdde43ec"),
     "enclose_edge_csv": (["enclose", "--n", "1", "--x=-1.000001"],
-                         "9b538fa97c4eb77b3d17a9cd7ba6d154014017f5fab2da664a133f6655977950"),
+                         "eb9e19e69dcd8adc9431a54f4815c5e65fc202403035401cd201bc84d5d9b4b1"),
     "sweep_csv": (SWEEP,
-                  "30485b0682af450e86a02ed0e143e1787fba4826ed64a5a327510b6058009ced",
-                  "fc8f36a2f110d9120584cecd1105c2a17478057f39544bf98425afb7400d3e97"),
+                  "d930474486132fcccf2fed10e118d84ed4f4f56732e353f4c21480797758ad1a",
+                  "21cf018c4512e3ea140af72efd01cbc2b1b41d9f556e784d320af84998c438fe"),
     "sweep_json": (SWEEP + ["--format", "json"],
-                   "53e3e7190b169745ca4253cb6faaa0624fbc0519158928ded92f15cecde51b71",
-                   "29b61aa6247dfbc2e32d6ea4d933d14e4edc542f7bb08e6e8ea2012df55d7ba9"),
+                   "d9722d083da2319e95490923517daae2454bd079565719b2623a7b116159430c",
+                   "fb88633b42d9e2a54c9052a60c092abbd20bf0029b336a6b06bbbd3520331406"),
     "sweep_taylor_csv": (SWEEP + ["--with-taylor"],
-                         "dcea92270957dfdb3823877b49f95693539b058aaad223b69f3e0cb48bf3d7c3",
-                         "4825e701f3b51f75b14d6a7ca7fe08a120ad46d2c866e92653c172ba38db574e"),
+                         "239cafaf5f4c1ed78aafb8cf3e405f0090740c4074e6b39c49a7483dc2bc4bbc",
+                         "84d96adb8373feaa9ae69e626f5e2bbb5b4924539fbd1cd9f65b726de338f256"),
     "sweep_taylor_json": (SWEEP + ["--with-taylor", "--format", "json"],
-                          "de13981420e9d32acb7020504b38fe8e57ff1bbbdf22791d7175e0b93d1a9b24",
-                          "783de8b4baa3cb770058c84dfffa3347fa9d0914dc7009239faf51c4c6c1eea9"),
+                          "039f817e27a46470895560adab930170fb91f9e3c99709cbb25f3fe4c87a44a1",
+                          "b0ad805d45469902c09e259a5ee0cc7921413c51920196cb3da1f8b4a4fd4463"),
     "sweep_log_csv": (SWEEP + ["--log-grid"],
-                      "d5666e6f064d78fa9da460ecdb7b9f86dc5d561e53916fd7757cae6984daf867",
-                      "a0017512d9fbda62dfb7ac324027d63fdedf6cfc79675014e245539796893a15"),
+                      "ae411baf40ed182c773092c14496bc90d62c3e715f5a5012864b0264098e7333",
+                      "dfeebbada9062be205e2a9643805276df418b2fdc93925b16b3eff3d020407a6"),
     "sweep_log_json": (SWEEP + ["--log-grid", "--format", "json"],
-                       "f9a915d1f384ebea94bfacc933f05e0fbccabfec7eea65f9d4f5764a70fe11d3",
-                       "00e5c030babaccd53f93f0601df3ca8a776bab9457bb31f1642b721e8ed715ed"),
+                       "94baefeb2ae702eb035cba86621940255a2adc0ace035052d43774d3c079ffb2",
+                       "ba581b3a85c567a17dc4d3241917f0b91c6dec470f983aef097722136ca0b6e7"),
     "sweep_log_taylor_csv": (SWEEP + ["--log-grid", "--with-taylor"],
-                             "71d5eae3b46a3127c7e7c193babe464668cee22642351e60579e7b8a393a4047",
-                             "d26af6cb399696e88bd884a9727868c344fda944ccdfe3aa1e725251308ba47c"),
+                             "25e734b14b163b7b9b3fb311e712f03f110e59055517832d617820fd9f5806e1",
+                             "22fdac7d57970c1ff328c739345daec19f05d02e4597bbee1289832d562610d7"),
     "sweep_log_taylor_json": (SWEEP + ["--log-grid", "--with-taylor", "--format", "json"],
-                              "624ab64060f4c00b4c88fd3d0624d2cc067c71c9bc8766c260819ddbfcc7be8e",
-                              "3d35b88e8d5921b8b8914a6a4b005a8501d097060f06f2b3db144c4add44d905"),
+                              "b42b67fe4bab519e225b5ec1634348b6cb4cb345cf4cacb8b45ce8d7602e04cb",
+                              "25539845e7c591b9392a1db7d75d7cd9db55ecaf8e7956a61ad3d41986a5de08"),
     "sweep_wide_log_taylor_csv": (["sweep", "--n", "8", "--x-min=-1e4", "--x-max=-1.001",
                                    "--points", "2000", "--log-grid", "--with-taylor"],
-                                  "9c29c3251ecfc7631005f169c6259021f62129fa383bcf2df83c0820e9e735ca",
-                                  "5f3c9612f58748ccf8a5db634494a5054a73b632bdbfdb7e80678e2fce8039bd"),
+                                  "0b53e5514feb3dbf84e5eb3d58edf242843b4693a2dbb60b11379541e0ac2610",
+                                  "4de11b9e516187397ed2312089284d94269cfabc14688ef1040d009663d614ef"),
     "sweep_endpoints_taylor_json": (["sweep", "--n", "1", "--x-min=-2", "--x-max=-1.5", "--points",
                                      "2", "--with-taylor", "--format", "json"],
-                                    "5f2708a009caf587c077fe914d5a5770fe476203e1bc5fc1c42a0ca39ac5d06c"),
+                                    "1764735c90bad10e6aff4ca5a9f9d27e6e642b7021e6cbcf3d2e87d2804d30b4"),
     "block_taylor_csv": (BLOCKS + ["--with-taylor"],
-                         "86e63d638d7380dfe317ed725aac6c2a00080ef7db6493973819e9680c3154c6",
-                         "4b347750125d8b951f02d0e9906d222ee55bc3e9aa337accabdc69b956a35b5c"),
+                         "472d37c31686a45c74385464ef80a18d26703a56c98f8187c06b1817be122b0a",
+                         "cd7b4db371433a489541f87f05b18b5d430b87903e9814ba2e304438f77157c8"),
     "block_taylor_json": (BLOCKS + ["--with-taylor", "--format", "json"],
-                          "f6c1e3bd7e4fa8bba384c903600fbbe9ae70cec0cb0a6818d43109daa0a764fe",
-                          "4e5667845df3e3b64a44417ed64e8acee9a6d4051dfa2fb1b7cb93976b25f882"),
+                          "00d223113dc282592b2351960fbdffcf1c257df499257726e38facd21c400d64",
+                          "97b0d88425b5af6c06f071cdd0e28de37962f551515febb36e96022712fa1625"),
     "block_log_csv": (BLOCKS + ["--log-grid"],
-                      "e602a04555d2dbcea025c0ac3c4982a2ced93b2f13a2f69618af759163da82d2",
-                      "2d7721265ffd0114a3d268916a9bb286b4bfdd645d05ec7053a6daab6b1fc189"),
+                      "fe99fcabf113dc769961f8d04b0773963e2a0f0d61e3f65add9bd2cead675ecb",
+                      "5399a491d433d3912680743defda332e2f0d700c4f62aeed3d9314f08d86a86d"),
     "block_log_json": (BLOCKS + ["--log-grid", "--format", "json"],
-                       "ec1d5d8bc0be5f625fc2a583c4c315a59617cc693bbbb74301f73f394f48d01c",
-                       "6fa7bd28bfab9347d49986844c06b5dbcfab6b4d9b0c3a5637ff1fde264ed7a6"),
+                       "c7ba54d6185dc0e139d7ae2fa4874a8c5c3daced5cd290067d36a96980132fc0",
+                       "25bed6fd589938c4759bc129e5177a51f93bd72f5376f47683eda1e317bee885"),
     # the bracket and Maclaurin columns overflow to NaN and +-inf far from -1
     "nonfinite_log_taylor_json": (["sweep", "--n", "4", "--x-min=-1e300", "--x-max=-2", "--log-grid",
                                    "--points", "3000", "--format", "json", "--with-taylor"],
-                                  "440ce10a163f8ea223c0e57dc2cf686833f61cabe28a33bc76b41496ae68963e",
-                                  "0b61126ea84e558e04f7f2c322ee352acdafb891270132091ffb659d7b3054ab"),
+                                  "b493dc22f08a11b3858029713e2377dbd2f73e4d8876b3dc96994b03fd01f472",
+                                  "2ae0ee4ea648581a699b1f9969b81947eadb93ab0825d39b9d3aea44e98dca74"),
     "certify_n_json": (["certify", "--n", "12"],
                        "05727cb25aea7fb67feba27f307b7c6c1adb32cf16a7ad7ba7759b7bd06eab14"),
     "certify_n_csv": (["certify", "--n", "12", "--format", "csv"],
@@ -99,9 +103,9 @@ GOLDEN = {
     "certify_full_csv": (["certify", "--range", "1..64", "--format", "csv"],
                          "036b442534ce46e8d61c72ec54fb3b05d992263d82fdd823af9a67bf484f7052"),
     "compare_csv": (["compare", "--n", "10", "--points", "1000"],
-                    "16d3ca0bf0bd0c6c59626e327f174c113f8b578f6e7b6db2843a080c119f9ece"),
+                    "e28982d517ae43d0c2842daebae30e2b1af3ce494eab9b31d0ad07926dc505e2"),
     "compare_json": (["compare", "--n", "10", "--points", "1000", "--format", "json"],
-                     "9fc2096f84d358f7ee7ce4d91cc9465bc83a76356dc73b95a71ddbdfcdc8dd17"),
+                     "5c03cf57f73fefd841561a798098b5f016f059f304d80e6afa7f9e524644a3f4"),
 }
 
 
