@@ -91,6 +91,16 @@ class TestBesselI:
         with mp.workdps(oracles.DPS):
             assert bessel_i(n, x) == _nearest(mp.besseli(n, x))
 
+    def test_rounds_again_with_more_bits_until_both_ends_agree(self, monkeypatch):
+        # 80 bits settle nearly every value in one round; 4 bits a round make
+        # the loop raise the bits several times
+        from chebbound import bessel
+
+        monkeypatch.setattr(bessel, "_ZIV_BITS", 4)
+        for n, x in ((0, 1.0), (7, 1.0), (3, 0.5), (2, 37.5)):
+            with mp.workdps(oracles.DPS):
+                assert bessel_i(n, x) == _nearest(mp.besseli(n, x))
+
     @pytest.mark.parametrize("n, x", ((10**6, 1.0), (3, 5e-324), (1000, 2.0), (2000, 700.0)))
     def test_below_half_the_smallest_subnormal_is_zero(self, n, x):
         assert bessel_i(n, x) == 0.0
