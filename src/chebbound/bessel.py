@@ -111,20 +111,21 @@ def series_sum(n: int, x: float, bits: int) -> tuple[int, int]:
     """
     p, q = x.as_integer_ratio()
     s = q.bit_length()
-    shift, den, sh = bits - s * n, math.factorial(n), 2 * s
-    term = (p**n << shift) // den if shift >= 0 else p**n // (den << -shift)
-    # x = 1 (and any x = 2^-k, where p = 1) skips the multiply, so the
-    # certificate's sums at x = 1 cost what the division alone costs
+    # 2^s n! and 2^2s as plain integers: at x = 1 the steps below are then
+    # the same few small-integer products as a dedicated x = 1 sum
+    den, d2 = math.factorial(n) << s * n, 1 << 2 * s
+    term = (p**n << bits) // den if bits >= 0 else p**n // (den << -bits)
+    # x = 1 (and any x = 2^-k, where p = 1) skips the multiply
     first, mult, total, m, scaled = term, p * p, 0, 0, p != 1
     while term:
         total += term
         m += 1
         if scaled:
             term *= mult
-        term //= m * (m + n) << sh
+        term //= d2 * m * (m + n)
     if first <= 2 * m:
         raise ValueError(f"{bits} bits leave the first term of I_{n}({x!r}) at {first}, for {m} terms")
-    d = (m + 1) * (m + 1 + n) << sh
+    d = d2 * (m + 1) * (m + 1 + n)
     a = m * (m + 1) // 2 - (m + 1) * d // (mult - d)  # -(y // -z) is ceil(y / z)
     return total, total + 2 * a + 2 * m * ((total >> first.bit_length() - 1) + 1)
 
