@@ -14,7 +14,9 @@ so every result stays in the single canonical T basis.
 Every evaluator takes a scalar or an array of points.  A scalar (a Python
 or numpy int or float, or a 0-d array) is evaluated in Python floats and
 gives a Python float; any other array gives a float64 ndarray of its shape.
-Both run the same kernel, so a point gives the same bits either way.
+An array of more than ``_kernels.BLOCK`` points is evaluated one block of
+points at a time, so the recurrence's arrays stay in cache.  All of these
+run the same kernel, so a point gives the same bits either way.
 """
 
 from __future__ import annotations
@@ -61,43 +63,51 @@ class ChebSeries:
         return tuple(self.coeffs.tolist())
 
 
-def _as_points(x):
-    """x as the kernels take it: a Python float for a scalar, else a float64 array."""
+def _evaluate(kernel, arg, x):
+    """kernel(arg, points) at the points of x.
+
+    A scalar reaches the kernel as a Python float and any other array as a
+    float64 ndarray; an array of more than ``_kernels.BLOCK`` points goes
+    through ``_kernels.blocked``.  Callers pass the kernel as
+    ``_kernels.<name>`` looked up at call time, so a wrapper set on that
+    module attribute (perfbench's tracer) sees every call.
+    """
     if isinstance(x, (int, float)):
-        return float(x)
-    arr = np.asarray(x, dtype=np.float64)
-    return float(arr) if arr.ndim == 0 else arr
-
-
-def _clenshaw(values, x):
-    return _kernels.clenshaw_kernel(values, _as_points(x))
+        return kernel(arg, float(x))
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim == 0:
+        return kernel(arg, float(xs))
+    if xs.size <= _kernels.BLOCK:
+        return kernel(arg, xs)
+    return _kernels.blocked(kernel, arg, xs)
 
 
 def eval_T(n: int, x):
     """T_n(x) for n >= 0; accepts a scalar or an array of points."""
     if n < 0:
         raise DomainError("T_n needs n >= 0")
-    return _clenshaw((0.0,) * n + (1.0,), x)
+    return _evaluate(_kernels.clenshaw_kernel, (0.0,) * n + (1.0,), x)
 
 
 def eval_U(n: int, x):
     """U_n(x) for n >= -1 (U_{-1} is identically 0); scalar or array."""
     if n < -1:
         raise DomainError("U_n needs n >= -1")
-    return _clenshaw(tuple(map(float, u_to_t_coeffs(n))), x)
+    return _evaluate(_kernels.clenshaw_kernel, tuple(map(float, u_to_t_coeffs(n))), x)
 
 
 def clenshaw_eval(s: ChebSeries, x):
     """Evaluate a T-basis series by Clenshaw's recurrence; scalar or array."""
-    return _clenshaw(s.values, x)
+    return _evaluate(_kernels.clenshaw_kernel, s.values, x)
 
 
 def differentiate_coeffs(coeffs):
     """T-basis coefficients of the derivative of a T-basis coefficient list.
 
-    Generic over the scalar type (float or Fraction), which lets the
+    Generic over the scalar type (float, int or Fraction), which lets the
     certificate construction run the identical algebra exactly in
-    fractions.  A degree-0 input yields the one-term zero series.
+    fractions; integer input gives integers.  A degree-0 input yields the
+    one-term zero series.
     """
     n = len(coeffs) - 1
     if n == 0:
@@ -106,7 +116,11 @@ def differentiate_coeffs(coeffs):
     for k in range(n - 1, 0, -1):
         prev = d[k + 2] if k + 2 < n else 0
         d[k] = prev + 2 * (k + 1) * coeffs[k + 1]
-    d[0] = coeffs[1] + (d[2] / 2 if n >= 3 else 0)
+    half = 0
+    if n >= 3:
+        # every term of d[2] is 2(k+1)c, so an integer d[2] halves exactly
+        half = d[2] // 2 if isinstance(d[2], int) else d[2] / 2
+    d[0] = coeffs[1] + half
     return d
 
 

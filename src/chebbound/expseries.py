@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .bessel import bessel_i
-from .chebpoly import ChebSeries, _as_points, clenshaw_eval
+from .chebpoly import ChebSeries, _evaluate, clenshaw_eval
 from .errors import DomainError
 
 __all__ = [
@@ -99,7 +99,7 @@ def taylor_eval(n: int, x):
     """
     if n < 0:
         raise DomainError("taylor_eval needs n >= 0")
-    return _kernels.taylor_kernel(n, _as_points(x))
+    return _evaluate(_kernels.taylor_kernel, n, x)
 
 
 def taylor_sandwich(n: int, x: float) -> Enclosure:

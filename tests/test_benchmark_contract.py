@@ -13,6 +13,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,27 +49,50 @@ def test_every_benchmark_per_layer_metric_is_computed():
     assert {m["name"] for m in declared} <= set(tracer.LAYER_METRICS)
 
 
-def test_the_bessel_spans_record_calls():
+def _traced_calls(body):
+    """The spans recorded while ``body`` runs under the tracer, in call
+    order, each as "span<caller>" (the caller is empty at the top level)."""
     # the tracer patches module namespaces, so a call that bypasses them
-    # (a private copy, a renamed helper) would leave the metric at zero;
-    # each printed pair is a span and the span that called it
+    # (a private copy, a renamed helper) would leave the metric at zero
     script = f"""
 import sys
 sys.path.insert(0, {str(TRACER.parent)!r})
+import numpy as np
 import chebbound
 from tracer import Tracer
 t = Tracer()
 t.install()
+{body}
+print(" ".join(s[0] + "<" + (t.spans[s[3]][0] if s[3] >= 0 else "") for s in t.spans))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_the_bessel_spans_record_calls():
+    calls = set(_traced_calls("""
 chebbound.bessel_i(3, 1.0)
 chebbound.build_G_via_reduction(5)
 chebbound.build_G_closed_form(6)
 chebbound.exp_cheb_coefficients(4)
-print(" ".join(sorted({{s[0] + "<" + (t.spans[s[3]][0] if s[3] >= 0 else "") for s in t.spans}})))
-"""
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    calls = set(proc.stdout.split())
+"""))
     assert {"bessel.bessel_i<", "bessel.series_sum<bessel.bessel_i",
             "bessel.series_sum<certificate.build_G_via_reduction",
             "bessel.series_sum<certificate.build_G_closed_form",
             "bessel.bessel_i<expseries.exp_cheb_coefficients"} <= calls
+
+
+def test_the_kernel_spans_record_one_call_per_block():
+    # an array of two blocks and one point: the evaluators must call the
+    # kernels through the _kernels namespace, once per block
+    calls = Counter(_traced_calls("""
+xs = np.linspace(-3.0, -1.0, 2 * chebbound._kernels.BLOCK + 1)
+chebbound.clenshaw_eval(chebbound.partial_sum(8), xs)
+chebbound.eval_T(5, xs)
+chebbound.eval_U(5, xs)
+chebbound.taylor_eval(8, xs)
+"""))
+    for span in ("_kernels.clenshaw_kernel<chebpoly.clenshaw_eval", "_kernels.clenshaw_kernel<chebpoly.eval_T",
+                 "_kernels.clenshaw_kernel<chebpoly.eval_U", "_kernels.taylor_kernel<expseries.taylor_eval"):
+        assert calls[span] == 3, (span, calls)

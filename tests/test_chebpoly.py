@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from chebbound import (
     taylor_eval,
     u_to_t,
 )
+from chebbound.chebpoly import differentiate_coeffs
 
 
 class TestEvalT:
@@ -111,6 +113,15 @@ class TestDifferentiate:
     def test_constant_derivative_is_zero_series(self):
         out = differentiate(ChebSeries(np.array([5.0])))
         assert out.coeffs.tolist() == [0.0]
+
+    def test_integer_coefficients_stay_exact_integers(self):
+        # d_0 = c_1 + 3 c_3 + 5 c_5 + ...: halving d_2 in floats would round it
+        assert differentiate_coeffs([0, 1, 0, 10**20 + 1]) == [
+            300000000000000000004, 0, 600000000000000000006]
+        coeffs = [(-1) ** k * (10**18 + 7 * k) for k in range(12)]
+        got = differentiate_coeffs(coeffs)
+        assert all(type(v) is int for v in got)
+        assert got == differentiate_coeffs([Fraction(c) for c in coeffs])
 
     def test_against_finite_differences(self):
         f4 = partial_sum(4)

@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from chebbound import _kernels, exp_cheb_coefficients
+from chebbound import _kernels, clenshaw_eval, eval_T, eval_U, exp_cheb_coefficients, partial_sum, taylor_eval
 from chebbound.chebpoly import u_to_t_coeffs
 
 
@@ -102,3 +103,62 @@ def test_clenshaw_tracks_the_exact_sum_of_the_exp_truncations():
             assert EXP_VECTORS[n] == EXP_VECTORS[-1][:n + 1]
             got = _kernels.clenshaw_kernel(EXP_VECTORS[n], x)
             assert abs(Fraction(got) - exact) <= (n + 1) * eps * magnitude, (n, x)
+
+
+# --- blocked evaluation ------------------------------------------------------
+# An array over _kernels.BLOCK points is evaluated block by block; each
+# evaluator must still give the bits of one kernel call on the whole array.
+B = _kernels.BLOCK
+EDGE_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, -1.0, 5e-324]
+
+
+def _points(size):
+    """Seeded points on [-30, 3], with the edge values spread over all blocks."""
+    xs = np.random.default_rng(size).uniform(-30.0, 3.0, size)
+    at = np.linspace(0, size - 1, min(size, len(EDGE_VALUES))).astype(int)
+    xs[at] = EDGE_VALUES[:at.size]
+    return xs
+
+
+BLOCKED_INPUTS = {
+    **{f"size {n}": _points(n) for n in (0, 1, B - 1, B, B + 1, 3 * B + 17)},
+    "shape (2, B+3)": _points(2 * (B + 3)).reshape(2, B + 3),
+    "shape (B+5, 1)": _points(B + 5).reshape(B + 5, 1),
+    "strided": _points(3 * B + 17)[::3],
+    "Fortran-ordered": np.asfortranarray(_points(3 * (B + 1)).reshape(B + 1, 3)),
+    "int": np.arange(2 * B + 3) % 41 - 35,
+    "float32": _points(2 * B + 1).astype(np.float32),
+}
+
+
+def _blocked_evaluators():
+    """(evaluator, kernel, its argument) for each evaluator and degree."""
+    for d in (0, 1, 2, 33, 64):
+        s = partial_sum(d)
+        yield (lambda x, s=s: clenshaw_eval(s, x)), _kernels.clenshaw_kernel, s.values
+        yield (lambda x, d=d: eval_T(d, x)), _kernels.clenshaw_kernel, (0.0,) * d + (1.0,)
+        yield (lambda x, d=d: eval_U(d, x)), _kernels.clenshaw_kernel, [float(c) for c in u_to_t_coeffs(d)]
+    for d in (0, 1, 64):
+        yield (lambda x, d=d: taylor_eval(d, x)), _kernels.taylor_kernel, d
+
+
+@pytest.mark.parametrize("name", BLOCKED_INPUTS)
+def test_blocked_evaluation_gives_the_bits_of_one_kernel_call(name):
+    xs = BLOCKED_INPUTS[name]
+    whole = np.asarray(xs, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for evaluate, kernel, arg in _blocked_evaluators():
+            _assert_same_bits(kernel(arg, whole), evaluate(xs))
+
+
+def test_a_float_point_gives_the_bits_of_its_blocked_array_entry():
+    xs = BLOCKED_INPUTS[f"size {3 * B + 17}"]
+    # the edge values and the points either side of each block boundary
+    at = sorted({*np.flatnonzero(np.isin(xs, EDGE_VALUES) | np.isnan(xs)).tolist(),
+                 *(i + j for i in range(B, xs.size, B) for j in (-1, 0))})
+    with np.errstate(over="ignore", invalid="ignore"):
+        for evaluate, _, _ in _blocked_evaluators():
+            arr = evaluate(xs)
+            floats = [evaluate(x) for x in xs[at].tolist()]
+            assert all(type(v) is float for v in floats)
+            _assert_same_bits(floats, arr[at])
