@@ -14,11 +14,12 @@ conditions on the ratio bound 4/(5(N+1)).
 Coefficients rest on fixed-point integers: each I_k(1) is the lower end of
 :func:`chebbound.bessel.series_sum` at x = 1, the series summed in integers
 scaled by 2^bits with every term floored, so it lies below I_k(1) by less
-than (terms + 2) units of 2^-bits, and the algebra on top is exact
-(integers and fractions).  2^-bits is 2^112 or more times smaller than I_N(1), the size
-of the residuals that the reduction route leaves after cancelling terms of
-order one, so the one rounding that shows is the final cast of each
-coefficient to float64.
+than (terms + 2) units of 2^-bits, and the algebra on top runs exactly on
+integer numerators over 2^bits.  2^-bits is 2^112 or more times smaller than
+I_N(1), the size of the residuals that the reduction route leaves after
+cancelling terms of order one, so the one rounding that shows is the final,
+correctly rounded division of each coefficient by 2^bits.  The decomposition
+takes its Bessel values from the same integers.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import bessel_i, bessel_ratio_bound, series_sum
+from .bessel import bessel_ratio_bound, series_sum
 from .chebpoly import (
     ChebSeries,
     clenshaw_eval,
@@ -72,19 +73,29 @@ def build_G_via_reduction(n: int) -> ChebSeries:
 
     The exponential cancels between the truncation error and its
     derivative, so the difference is the certificate polynomial itself.
-    Coefficient algebra runs in exact fractions and is rounded to float64
-    on return.
+    Coefficient algebra runs exactly on integer numerators over 2^bits, and
+    each coefficient is rounded to float64 once, on return.
     """
     if n < 0:
         raise DomainError("build_G_via_reduction needs n >= 0")
     bits = _working_bits(n)
-    # a_0 = I_0(1) and a_k = 2 I_k(1), doubled on the integer sum: a Fraction
-    # product would pay a second gcd of bits-long numbers per coefficient
-    a = [Fraction((2 if k else 1) * series_sum(k, 1.0, bits)[0], 1 << bits) for k in range(n + 1)]
+    # 2^bits times a_0 = I_0(1) and a_k = 2 I_k(1)
+    a = [(2 if k else 1) * series_sum(k, 1.0, bits)[0] for k in range(n + 1)]
     d = differentiate_coeffs(a)
     g = [a[j] - (d[j] if j < len(d) else 0) for j in range(n)]
     g.append(a[n])
-    return ChebSeries(np.array([float(v) for v in g], dtype=np.float64))
+    return ChebSeries(np.array([v / (1 << bits) for v in g], dtype=np.float64))
+
+
+def _closed_form_ints(n: int) -> tuple[int, int, int, list[int]]:
+    """(bits, i_n, i_np1, g): I_n(1), I_{n+1}(1) and the T coefficients of
+    I_n(1) U_n + I_{n+1}(1) U_{n-1}, all as integers times 2^bits."""
+    bits = _working_bits(n)
+    i_n, i_np1 = (series_sum(k, 1.0, bits)[0] for k in (n, n + 1))
+    un = u_to_t_coeffs(n)
+    unm1 = u_to_t_coeffs(n - 1)
+    g = [i_n * un[j] + (i_np1 * unm1[j] if j < len(unm1) else 0) for j in range(n + 1)]
+    return bits, i_n, i_np1, g
 
 
 @lru_cache(maxsize=None)
@@ -97,11 +108,7 @@ def build_G_closed_form(n: int) -> ChebSeries:
     """
     if n < 0:
         raise DomainError("build_G_closed_form needs n >= 0")
-    bits = _working_bits(n)
-    i_n, i_np1 = (series_sum(k, 1.0, bits)[0] for k in (n, n + 1))
-    un = u_to_t_coeffs(n)
-    unm1 = u_to_t_coeffs(n - 1)
-    g = [i_n * un[j] + (i_np1 * unm1[j] if j < len(unm1) else 0) for j in range(n + 1)]
+    bits, _, _, g = _closed_form_ints(n)
     return ChebSeries(np.array([v / (1 << bits) for v in g], dtype=np.float64))
 
 
@@ -109,20 +116,17 @@ def build_G_closed_form(n: int) -> ChebSeries:
 def decomposition_poly(n: int) -> ChebSeries:
     """The polynomial variant whose transform splits into the five terms.
 
-    I_{n+1}(1) U_{n-1} + I_n(1) U_{n-2} - I_n(1) + I_n(1) T_n: it differs
-    from the reduction polynomial by I_n(1) (1 + T_n), carrying half its
-    leading coefficient.  The five-part split in :func:`decomposition_terms`
-    is an exact identity for this variant, not for G_n itself.
+    I_{n+1}(1) U_{n-1} + I_n(1) U_{n-2} - I_n(1) + I_n(1) T_n, which is
+    exactly G_n - I_n(1) (1 + T_n) since U_n - U_{n-2} = 2 T_n: it carries
+    half the leading coefficient of G_n.  The five-part split in
+    :func:`decomposition_terms` is an exact identity for this variant, not
+    for G_n itself.
     """
     if n < 1:
         raise DomainError("decomposition_poly needs n >= 1")
-    i_n, i_np1 = bessel_i(n, 1.0), bessel_i(n + 1, 1.0)
-    c = np.zeros(n + 1)
-    for value, u in ((i_np1, u_to_t_coeffs(n - 1)), (i_n, u_to_t_coeffs(n - 2))):
-        c[:len(u)] += value * np.array(u, dtype=np.float64)
-    c[0] -= i_n
-    c[n] += i_n
-    return ChebSeries(c)
+    bits, i_n, _, g = _closed_form_ints(n)
+    c = [v - i_n if j in (0, n) else v for j, v in enumerate(g)]
+    return ChebSeries(np.array([v / (1 << bits) for v in c], dtype=np.float64))
 
 
 def reduction_identity_residual(n: int, x: float) -> float:
@@ -171,7 +175,8 @@ def decomposition_quadratics(n: int) -> tuple[QuadraticInE, ...]:
     """The five quadratics in e^t underlying the pieces A..E at degree n."""
     if n < 1:
         raise DomainError("the decomposition needs n >= 1")
-    r = bessel_i(n + 1, 1.0) / bessel_i(n, 1.0)
+    _, i_n, i_np1, _ = _closed_form_ints(n)
+    r = i_np1 / i_n
     a, b, c, d = _decomposition_params(n, r)
     return (
         QuadraticInE(1.0, -2.0 * r, 1.0),
@@ -211,7 +216,7 @@ def _validate_decomposition_args(n: int, t: float) -> None:
     if t < 1e-6:
         raise DomainError("t below 1e-6 is refused: (e^t - 1) is evaluated directly")
     if (2 * n + 3) * t > _EXP_ARG_LIMIT:
-        raise OverflowError("e^{(2n+3)t} would leave float64 range")
+        raise DomainError("e^{(2n+3)t} would leave float64 range")
 
 
 def decomposition_check(n: int, t: float) -> float:
@@ -223,6 +228,7 @@ def decomposition_check(n: int, t: float) -> float:
     throughout: this is a consistency diagnostic, not the certified path.
     """
     _validate_decomposition_args(n, t)
+    bits, i_n, _, _ = _closed_form_ints(n)
     x = -math.cosh(t)
     kval = clenshaw_eval(decomposition_poly(n), x)
     lhs = (
@@ -231,7 +237,7 @@ def decomposition_check(n: int, t: float) -> float:
         * kval
         * math.sinh(t)
         * math.exp((n + 1) * t)
-        / (bessel_i(n, 1.0) * (math.exp(t) - 1.0))
+        / (i_n / (1 << bits) * (math.exp(t) - 1.0))
     )
     rhs = sum(decomposition_terms(n, t))
     return abs(lhs - rhs) / max(1.0, abs(rhs))
@@ -294,7 +300,8 @@ def grid_sign_scan(n: int, x_min: float, points: int) -> bool:
 
     Evaluates the reduction-built G_n on ``points`` log-spaced abscissae
     from ``x_min`` up to -1 - 1e-6 and reports whether (-1)^n G_n stays
-    strictly positive everywhere.
+    strictly positive everywhere.  Raises DomainError when G_n leaves the
+    float range on the grid, where its sign could no longer be read.
     """
     if n < 1:
         raise DomainError("grid_sign_scan needs n >= 1")
@@ -303,5 +310,8 @@ def grid_sign_scan(n: int, x_min: float, points: int) -> bool:
     if points < 10:
         raise DomainError("grid_sign_scan needs at least 10 points")
     grid = -np.geomspace(-x_min, 1.0 + 1e-6, points)
-    vals = clenshaw_eval(build_G_via_reduction(n), grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = clenshaw_eval(build_G_via_reduction(n), grid)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"G_{n} leaves the float range on [{x_min!r}, -1)")
     return bool(np.all((-1) ** n * vals > 0.0))

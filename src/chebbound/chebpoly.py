@@ -104,10 +104,10 @@ def clenshaw_eval(s: ChebSeries, x):
 def differentiate_coeffs(coeffs):
     """T-basis coefficients of the derivative of a T-basis coefficient list.
 
-    Generic over the scalar type (float, int or Fraction), which lets the
-    certificate construction run the identical algebra exactly in
-    fractions; integer input gives integers.  A degree-0 input yields the
-    one-term zero series.
+    Generic over the scalar type (float, int or Fraction); integer input
+    gives integers, which lets the certificate construction run the
+    identical algebra exactly on integer numerators.  A degree-0 input
+    yields the one-term zero series.
     """
     n = len(coeffs) - 1
     if n == 0:

@@ -76,14 +76,10 @@ class TestBuilders:
     def test_odd_degree_negative_below_minus_one(self):
         assert clenshaw_eval(build_G_closed_form(1), -2.0) < 0.0
 
-    @pytest.mark.parametrize("n", range(0, 33))
+    @pytest.mark.parametrize("n", range(0, 150))
     def test_cross_construction_coefficients(self, n):
-        red = build_G_via_reduction(n).coeffs
-        closed = build_G_closed_form(n).coeffs
-        assert red.shape == closed.shape
-        nz = closed != 0.0
-        assert np.all(np.abs(red[nz] - closed[nz]) <= 1e-13 * np.abs(closed[nz]))
-        assert np.all(red[~nz] == 0.0)
+        # both routes round the same exact coefficients once, so they agree bit for bit
+        assert build_G_via_reduction(n).coeffs.tolist() == build_G_closed_form(n).coeffs.tolist()
 
     @pytest.mark.parametrize("n", (1, 2, 7, 16, 32))
     def test_cross_construction_pointwise(self, n):
@@ -162,7 +158,8 @@ class TestDecomposition:
             decomposition_check(2, 0.0)
 
     def test_overflow_signal(self):
-        with pytest.raises(OverflowError):
+        # e^{(2n+3)t} past the float range is a refused argument, like any other
+        with pytest.raises(DomainError):
             decomposition_check(100, 4.0)
 
     def test_rejects_degree_zero(self):
@@ -187,6 +184,24 @@ class TestDecomposition:
             for q in (q_c, q_d):
                 assert q.a1 == pytest.approx(-2.0 * (-1) ** n, rel=1e-15)
                 assert (q.a2, q.a0) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 16, 17, 51, 63, 64, 99, 149))
+    def test_variant_poly_is_correctly_rounded(self, n):
+        # float() of I_{n+1} U_{n-1} + I_n U_{n-2} - I_n + I_n T_n at 80 digits
+        unm1, unm2 = _u_in_t_basis(n - 1) + [0], _u_in_t_basis(n - 2) + [0, 0]
+        with mp.workdps(oracles.DPS):
+            i_n, i_np1 = oracles.mp_bessel_i(n, 1), oracles.mp_bessel_i(n + 1, 1)
+            exact = [i_np1 * unm1[j] + i_n * unm2[j] for j in range(n + 1)]
+            exact[0] -= i_n
+            exact[n] += i_n
+            expected = [float(v) for v in exact]
+        assert decomposition_poly(n).coeffs.tolist() == expected
+
+    @pytest.mark.parametrize("n", (1, 4, 6, 9, 10, 15, 16, 32, 64, 149))
+    def test_quadratics_use_the_correctly_rounded_ratio(self, n):
+        with mp.workdps(oracles.DPS):
+            r = float(oracles.mp_bessel_i(n + 1, 1) / oracles.mp_bessel_i(n, 1))
+        assert decomposition_quadratics(n)[0].a1 == -2.0 * r
 
     def test_variant_poly_offset_from_reduction(self):
         # the split-friendly variant differs from the reduction polynomial by
@@ -242,9 +257,17 @@ class TestGridSignScan:
     def test_odd_degree(self):
         assert grid_sign_scan(1, -100.0, 500) is True
 
-    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("n", (*range(1, 17), 134))
     def test_sign_law_wide_grid(self, n):
         assert grid_sign_scan(n, -1e4, 500) is True
+
+    @pytest.mark.parametrize("n", (135, 139))
+    def test_values_past_the_float_range_are_a_domain_error(self, n):
+        # from n = 135 G_n(-1e4) overflows to +-inf, and from n = 139 the
+        # Clenshaw steps meet inf - inf; neither may pass for a sign, and no
+        # numpy warning may escape
+        with pytest.raises(DomainError, match="float range"):
+            grid_sign_scan(n, -1e4, 500)
 
     def test_validation(self):
         with pytest.raises(DomainError):

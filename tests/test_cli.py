@@ -409,10 +409,14 @@ def test_runtime_needs_no_mpmath():
     script = """
 import sys
 import chebbound
-from chebbound import build_G_closed_form, build_G_via_reduction, cli
+from chebbound import (build_G_closed_form, build_G_via_reduction, cli, decomposition_check,
+                       decomposition_quadratics, grid_sign_scan)
 assert "mpmath" not in sys.modules, "import chebbound loaded mpmath"
 sys.modules["mpmath"] = None  # any later import of mpmath raises ImportError
 assert build_G_via_reduction(64).coeffs.tolist() == build_G_closed_form(64).coeffs.tolist()
+assert decomposition_check(8, 1.0) <= 1e-9
+assert len(decomposition_quadratics(8)) == 5
+assert grid_sign_scan(8, -100.0, 50)
 assert cli.main(["certify", "--range", "1..64"]) == 0
 assert cli.main(["enclose", "--n", "3", "--x=-2.5"]) == 0
 """
