@@ -1,55 +1,101 @@
 """Kernels for the hot evaluation loops: Clenshaw and Horner.
 
-Each kernel runs a Python loop over the recurrence index and uses only
-arithmetic operators, so one function serves both kinds of point: ``xs`` is
-either a Python float, giving a float, or a float64 ndarray, giving an
-ndarray of the same shape with one whole-array operation per step.  The
-operations and their order are the same for both, so a float and the same
-value inside an array give the same bits.  Both kernels are pure functions
-of their inputs.
+Each kernel runs a Python loop over the recurrence index in one of two
+forms.  Without ``work`` it uses only arithmetic operators, so one function
+serves both kinds of point: ``xs`` is either a Python float, giving a float,
+or a float64 ndarray, giving an ndarray of the same shape with one
+whole-array operation per step.  With ``work``, a tuple of float64 buffers
+of ``xs``' length, it runs the same operations in the same order in place,
+each ufunc writing to a buffer given as its positional output, and returns
+one of the buffers.  IEEE arithmetic rounds each element on its own, so a
+float, the same value inside an array and either loop form give the same
+bits.  The operator form is tested first, so a float pays one ``is None``
+check.
 
 A long array goes through ``blocked``, which runs the whole recurrence on
 ``BLOCK`` points at a time.  Over the whole array at once, each step
 streams the points and the recurrence's arrays through memory; a 2M-point
 array is 16 MB, far above the per-core L2 cache.  Over a block, the live
-arrays (the points, ``2x``, ``b1``, ``b2`` and one temporary: 1.25 MiB at
-32768 points) stay in L2 for all steps.  ``BLOCK`` comes from a scan of
-4096..131072 points at degree 64 on 2M points (best of 5): Clenshaw was
-fastest at 32768 and Horner within 10% of its best there; CHANGES.md
-gives the figures.  Blocks cannot change a bit: ``+ - * /`` round each
-element on its own, whatever the slice or the SIMD path, and a block
-applies the same operations in the same order to each point.
+arrays (the points and four buffers: 1.25 MiB at 32768 points) stay in L2
+for all steps.  ``BLOCK`` comes from two scans of 4096..131072 points on
+2M points (best of 5): Clenshaw at degree 64 in the operator form, and a
+10-evaluation grid round in the in-place form; 32768 was fastest in both
+(CHANGES.md gives the figures).  Blocks cannot change a bit: ``+ - * /``
+round each element on its own, whatever the slice or the SIMD path, and a
+block applies the same operations in the same order to each point.
+
+``blocked`` cuts four buffers of at most ``BLOCK`` points from one
+allocation, each on a 64-byte boundary, and runs the kernel in place on
+them.  The operator form's temporaries land wherever malloc puts them, so
+its timing followed the heap's history: the in-place loop ran that grid
+round in 717-728 ms on aligned buffers but in 868-1041 ms on buffers 8,
+16, 32 or 48 bytes past a boundary.  The buffers belong to one call of
+``blocked`` and are never kept, so threads may evaluate at the same time,
+and no result shares memory with them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# points per block, from the scan above; 256 KiB of float64 is also the
-# size from which numpy reuses a temporary array in place
+# points per block, from the scans above
 BLOCK = 32768
 
+# buffers cut by ``blocked``: clenshaw_kernel's 2x, b1, b2 and its step
+# result; taylor_kernel uses the first
+_BUFFERS = 4
+_ALIGN = 64
 
-def clenshaw_kernel(coeffs, xs):
+
+def clenshaw_kernel(coeffs, xs, work=None):
     """Backward Clenshaw recurrence for sum_j coeffs[j]*T_j at each x.
 
-    ``coeffs`` is any sequence of floats, at least one long.
+    ``coeffs`` is any sequence of floats, at least one long.  ``work``, if
+    given, holds four float64 arrays of ``xs``' size; the result is then
+    one of them.
     """
-    # 2.0 * xs * b1 is (2.0 * xs) * b1, so hoisting 2x keeps every bit; it
-    # leads each step so numpy can reuse its temporaries
-    x2 = 2.0 * xs
-    b1 = b2 = 0.0
+    if work is None:
+        # 2.0 * xs * b1 is (2.0 * xs) * b1, so hoisting 2x keeps every bit
+        x2 = 2.0 * xs
+        b1 = b2 = 0.0
+        for k in range(len(coeffs) - 1, 0, -1):
+            b1, b2 = x2 * b1 + coeffs[k] - b2, b1
+        return xs * b1 + coeffs[0] - b2
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    x2, b1, b2, t = work
+    multiply(2.0, xs, x2)
+    # zeros give the bits of the operator form's scalar 0.0 start
+    b1.fill(0.0)
+    b2.fill(0.0)
     for k in range(len(coeffs) - 1, 0, -1):
-        b1, b2 = x2 * b1 + coeffs[k] - b2, b1
-    return xs * b1 + coeffs[0] - b2
+        multiply(x2, b1, t)
+        add(t, coeffs[k], t)
+        subtract(t, b2, t)
+        b1, b2, t = t, b1, b2
+    multiply(xs, b1, t)
+    add(t, coeffs[0], t)
+    return subtract(t, b2, t)
 
 
-def taylor_kernel(n, xs):
-    """Degree-n Maclaurin partial sum of exp at each x (Horner form)."""
-    # x ** 0.0 is 1.0 for every x, inf and nan included, in xs' own type
-    v = xs ** 0.0
+def taylor_kernel(n, xs, work=None):
+    """Degree-n Maclaurin partial sum of exp at each x (Horner form).
+
+    ``work``, if given, holds at least one float64 array of ``xs``' size;
+    the result is then the first.
+    """
+    if work is None:
+        # x ** 0.0 is 1.0 for every x, inf and nan included, in xs' own type
+        v = xs ** 0.0
+        for k in range(n, 0, -1):
+            v = 1.0 + v * xs / k
+        return v
+    multiply, divide, add = np.multiply, np.divide, np.add
+    v = work[0]
+    np.power(xs, 0.0, v)
     for k in range(n, 0, -1):
-        v = 1.0 + v * xs / k
+        multiply(v, xs, v)
+        divide(v, k, v)
+        add(1.0, v, v)
     return v
 
 
@@ -57,11 +103,22 @@ def blocked(kernel, arg, xs):
     """kernel(arg, xs) for a float64 ndarray xs, evaluated BLOCK points at a time.
 
     The result is a C-ordered float64 array of xs' shape.  ``kernel`` is
-    called once per block, so the caller passes it as it finds it in this
-    module at call time.
+    called once per block, with four aligned work buffers of the block's
+    size as its third argument; the caller passes it as it finds it in this
+    module at call time, so a wrapper set there sees every call.
     """
     flat = xs.reshape(-1)
     out = np.empty(flat.size)
+    size = min(flat.size, BLOCK)
+    # each buffer's bytes rounded up to the alignment, plus room to align the first
+    stride = -(-size * 8 // _ALIGN) * _ALIGN
+    raw = np.empty(_BUFFERS * stride + _ALIGN, dtype=np.uint8)
+    first = -raw.ctypes.data % _ALIGN
+    work = tuple(raw[first + i * stride:first + i * stride + size * 8].view(np.float64)
+                 for i in range(_BUFFERS))
     for i in range(0, flat.size, BLOCK):
-        out[i:i + BLOCK] = kernel(arg, flat[i:i + BLOCK])
+        block = flat[i:i + BLOCK]
+        if block.size < size:
+            work = tuple(w[:block.size] for w in work)
+        out[i:i + BLOCK] = kernel(arg, block, work)
     return out.reshape(xs.shape)

@@ -15,8 +15,11 @@ Every evaluator takes a scalar or an array of points.  A scalar (a Python
 or numpy int or float, or a 0-d array) is evaluated in Python floats and
 gives a Python float; any other array gives a float64 ndarray of its shape.
 An array of more than ``_kernels.BLOCK`` points is evaluated one block of
-points at a time, so the recurrence's arrays stay in cache.  All of these
-run the same kernel, so a point gives the same bits either way.
+points at a time, in place on work buffers allocated once per call, so the
+recurrence's arrays stay in cache and no step allocates a temporary.
+Scalars and shorter arrays run the kernel's operator form.  All of these
+run the same IEEE operations in the same order, so a point gives the same
+bits either way.
 """
 
 from __future__ import annotations
@@ -68,9 +71,10 @@ def _evaluate(kernel, arg, x):
 
     A scalar reaches the kernel as a Python float and any other array as a
     float64 ndarray; an array of more than ``_kernels.BLOCK`` points goes
-    through ``_kernels.blocked``.  Callers pass the kernel as
-    ``_kernels.<name>`` looked up at call time, so a wrapper set on that
-    module attribute (perfbench's tracer) sees every call.
+    through ``_kernels.blocked``, which runs the kernel in place.  Callers
+    pass the kernel as ``_kernels.<name>`` looked up at call time, so a
+    wrapper set on that module attribute (perfbench's tracer) sees every
+    call.
     """
     if isinstance(x, (int, float)):
         return kernel(arg, float(x))

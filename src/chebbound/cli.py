@@ -42,6 +42,10 @@ from .expseries import (
 SWEEP_COLUMNS = ("x", "lower", "upper", "exp", "taylor_lower", "taylor_upper")
 SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 _SWEEP_BLOCK = 4096
+# rows per write: under glibc's default mmap threshold of 128 KiB (sweeps
+# with --with-taylor wrote at most 70 KB of CSV and 121 KB of JSON), so the
+# strings reuse heap memory whatever large arrays the process freed before
+_WRITE_ROWS = 512
 
 # argparse reads '-4' and '-.5' after an option as its value, but '-1e4' and
 # '-inf' as option strings; every valid x is below -1, so every float
@@ -137,8 +141,8 @@ def _emit_blocks(args, columns, blocks, default="csv") -> None:
     Each block is a sequence of equal-length columns of Python values, one
     type per column.  JSON writes one object per row keyed by ``columns``, as
     ``json.dumps(..., indent=2)`` does.  Each block is formatted with one
-    ``%`` template and written as it comes, to ``--output`` if set, else to
-    stdout.
+    ``%`` template and written as it comes, ``_WRITE_ROWS`` rows at a time,
+    to ``--output`` if set, else to stdout.
     """
     as_json = (args.format or default) == "json"
     if as_json:
@@ -157,8 +161,9 @@ def _emit_blocks(args, columns, blocks, default="csv") -> None:
                 template = ",".join(fields)
             cells = [c for c in cells if c is not None]
             lines = map(template.__mod__, zip(*cells) if cells else repeat((), len(block[0])))
-            _write(out, (lead or start) + sep.join(lines))
-            lead = sep
+            for piece in iter(lambda: list(islice(lines, _WRITE_ROWS)), []):
+                _write(out, (lead or start) + sep.join(piece))
+                lead = sep
         _write(out, end if lead else empty)
 
 

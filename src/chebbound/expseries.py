@@ -38,13 +38,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Enclosure:
-    """A certified two-sided bracket of exp at a single point.
+    """A two-sided bracket of exp at a single point.
 
-    ``lower`` and ``upper`` are the values of the degree ``lower_degree``
-    (odd) and ``upper_degree`` (even) truncations; lower <= exp(x) <= upper
-    holds on the certified domain.  The two float fields can coincide to
-    machine precision when the degrees are large and x is close to the
-    domain edge.
+    ``lower`` and ``upper`` are the float64 values of the degree
+    ``lower_degree`` (odd) and ``upper_degree`` (even) truncations.  The
+    exact truncations satisfy lower <= exp(x) <= upper for every x < -1;
+    the floats are not yet certified to (ROADMAP item 1).  Their rounding
+    is not bounded, so at large degrees both can land on one side of
+    exp(x): ``cheb_sandwich(32, -5.45393)`` gives lower = upper =
+    0.004279453347895784, above exp(x) = 0.0042794533478953356...  Where
+    the polynomials overflow both are NaN, as at ``cheb_sandwich(8,
+    -1e200)``.
     """
 
     x: float

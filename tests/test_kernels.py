@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -162,3 +164,65 @@ def test_a_float_point_gives_the_bits_of_its_blocked_array_entry():
             floats = [evaluate(x) for x in xs[at].tolist()]
             assert all(type(v) is float for v in floats)
             _assert_same_bits(floats, arr[at])
+
+
+# --- in-place evaluation on aligned work buffers ---------------------------
+def _at_offset(xs, offset):
+    """A copy of xs whose data start ``offset`` bytes past a 64-byte boundary."""
+    raw = np.empty(xs.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    copy = raw[start:start + xs.nbytes].view(np.float64)
+    copy[:] = xs
+    assert copy.ctypes.data % 64 == offset
+    return copy
+
+
+@pytest.mark.parametrize("size", [B + 1, 3 * B + 17])
+def test_a_misaligned_input_gives_the_bits_of_an_aligned_copy(size):
+    xs = _points(size)
+    aligned, shifted = _at_offset(xs, 0), _at_offset(xs, 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for evaluate, _, _ in _blocked_evaluators():
+            _assert_same_bits(evaluate(aligned).tolist(), evaluate(shifted))
+
+
+def test_a_result_never_shares_memory_with_the_next():
+    first = _points(2 * B + 1)
+    second = first[::-1].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for evaluate, _, _ in _blocked_evaluators():
+            a = evaluate(first)
+            kept = a.tolist()
+            b = evaluate(second)
+            _assert_same_bits(kept, a)
+            assert not np.shares_memory(a, b)
+
+
+def test_two_threads_get_the_bits_of_sequential_calls():
+    inputs = [_points(2 * B + 1), -_points(2 * B + 1) - 1.0]
+    evaluators = [evaluate for evaluate, _, _ in _blocked_evaluators()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [[evaluate(xs).tolist() for evaluate in evaluators] for xs in inputs]
+    got = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        start.wait()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got[i] = [evaluate(inputs[i]) for evaluate in evaluators]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(2):
+        assert got[i] is not None and len(got[i]) == len(evaluators)
+        for floats, arr in zip(want[i], got[i]):
+            _assert_same_bits(floats, arr)
