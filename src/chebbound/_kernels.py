@@ -32,11 +32,12 @@ round in 717-728 ms on aligned buffers but in 868-1041 ms on buffers 8,
 16, 32 or 48 bytes past a boundary.  The buffers belong to one call of
 ``blocked`` and are never kept, so threads may evaluate at the same time,
 and no result shares memory with them.
+
+numpy is imported only in the in-place branch and in ``blocked``, which
+only arrays reach, so a float point runs without it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 # points per block, from the scans above
 BLOCK = 32768
@@ -61,6 +62,8 @@ def clenshaw_kernel(coeffs, xs, work=None):
         for k in range(len(coeffs) - 1, 0, -1):
             b1, b2 = x2 * b1 + coeffs[k] - b2, b1
         return xs * b1 + coeffs[0] - b2
+    import numpy as np
+
     multiply, add, subtract = np.multiply, np.add, np.subtract
     x2, b1, b2, t = work
     multiply(2.0, xs, x2)
@@ -89,6 +92,8 @@ def taylor_kernel(n, xs, work=None):
         for k in range(n, 0, -1):
             v = 1.0 + v * xs / k
         return v
+    import numpy as np
+
     multiply, divide, add = np.multiply, np.divide, np.add
     v = work[0]
     np.power(xs, 0.0, v)
@@ -107,6 +112,8 @@ def blocked(kernel, arg, xs):
     size as its third argument; the caller passes it as it finds it in this
     module at call time, so a wrapper set there sees every call.
     """
+    import numpy as np
+
     flat = xs.reshape(-1)
     out = np.empty(flat.size)
     size = min(flat.size, BLOCK)

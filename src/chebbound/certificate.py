@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .bessel import bessel_ratio_bound, series_sum
 from .chebpoly import (
     ChebSeries,
@@ -84,7 +82,7 @@ def build_G_via_reduction(n: int) -> ChebSeries:
     d = differentiate_coeffs(a)
     g = [a[j] - (d[j] if j < len(d) else 0) for j in range(n)]
     g.append(a[n])
-    return ChebSeries(np.array([v / (1 << bits) for v in g], dtype=np.float64))
+    return ChebSeries([v / (1 << bits) for v in g])
 
 
 def _closed_form_ints(n: int) -> tuple[int, int, int, list[int]]:
@@ -109,7 +107,7 @@ def build_G_closed_form(n: int) -> ChebSeries:
     if n < 0:
         raise DomainError("build_G_closed_form needs n >= 0")
     bits, _, _, g = _closed_form_ints(n)
-    return ChebSeries(np.array([v / (1 << bits) for v in g], dtype=np.float64))
+    return ChebSeries([v / (1 << bits) for v in g])
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +124,7 @@ def decomposition_poly(n: int) -> ChebSeries:
         raise DomainError("decomposition_poly needs n >= 1")
     bits, i_n, _, g = _closed_form_ints(n)
     c = [v - i_n if j in (0, n) else v for j, v in enumerate(g)]
-    return ChebSeries(np.array([v / (1 << bits) for v in c], dtype=np.float64))
+    return ChebSeries([v / (1 << bits) for v in c])
 
 
 def reduction_identity_residual(n: int, x: float) -> float:
@@ -309,6 +307,8 @@ def grid_sign_scan(n: int, x_min: float, points: int) -> bool:
         raise DomainError("grid_sign_scan needs a finite x_min < -1")
     if points < 10:
         raise DomainError("grid_sign_scan needs at least 10 points")
+    import numpy as np
+
     grid = -np.geomspace(-x_min, 1.0 + 1e-6, points)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = clenshaw_eval(build_G_via_reduction(n), grid)

@@ -14,6 +14,8 @@ so every result stays in the single canonical T basis.
 Every evaluator takes a scalar or an array of points.  A scalar (a Python
 or numpy int or float, or a 0-d array) is evaluated in Python floats and
 gives a Python float; any other array gives a float64 ndarray of its shape.
+numpy is imported only where an array is taken or built, so a Python
+float point and a series made from floats run without it.
 An array of more than ``_kernels.BLOCK`` points is evaluated one block of
 points at a time, in place on work buffers allocated once per call, so the
 recurrence's arrays stay in cache and no step allocates a temporary.
@@ -24,10 +26,9 @@ bits either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from . import _kernels
 from .errors import DomainError
@@ -35,35 +36,46 @@ from .errors import DomainError
 __all__ = ["ChebSeries", "eval_T", "eval_U", "clenshaw_eval", "differentiate", "u_to_t"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChebSeries:
     """Polynomial sum_j coeffs[j] * T_j given by its T-basis coefficients.
 
-    ``coeffs`` is stored as a read-only float64 copy of length degree + 1.
-    The evaluators read the coefficients from ``values``, a tuple of Python
-    floats made from that copy on first use.
+    The coefficients are stored as ``values``, a tuple of degree + 1 Python
+    floats, which the evaluators read; series compare and hash by it.
+    ``coeffs`` is a read-only float64 ndarray of the same bits, built on
+    first use, so a series made and evaluated at float points needs no
+    numpy.
     """
 
-    coeffs: np.ndarray
+    values: tuple[float, ...]
 
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
+    def __init__(self, coeffs):
+        # an array of another rank would give rows, and a string characters
+        if isinstance(coeffs, str) or getattr(coeffs, "ndim", 1) != 1:
             raise ValueError("a series needs at least one coefficient")
-        if not np.all(np.isfinite(arr)):
+        try:
+            values = tuple(map(float, coeffs))
+        except TypeError:
+            raise ValueError("a series needs at least one coefficient") from None
+        if not values:
+            raise ValueError("a series needs at least one coefficient")
+        if not all(map(math.isfinite, values)):
             raise ValueError("series coefficients must be finite")
-        # a write would leave ``values`` stale, and cached series are shared
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "values", values)
 
     @property
     def degree(self) -> int:
-        return self.coeffs.size - 1
+        return len(self.values) - 1
 
     @cached_property
-    def values(self) -> tuple[float, ...]:
-        """The coefficients as Python floats, as the kernels read them."""
-        return tuple(self.coeffs.tolist())
+    def coeffs(self):
+        """The coefficients as a read-only float64 ndarray."""
+        import numpy as np
+
+        arr = np.array(self.values)
+        # series are cached and shared, and ``values`` is what they evaluate
+        arr.flags.writeable = False
+        return arr
 
 
 def _evaluate(kernel, arg, x):
@@ -78,6 +90,8 @@ def _evaluate(kernel, arg, x):
     """
     if isinstance(x, (int, float)):
         return kernel(arg, float(x))
+    import numpy as np
+
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim == 0:
         return kernel(arg, float(xs))
@@ -134,7 +148,7 @@ def differentiate(s: ChebSeries) -> ChebSeries:
     The result has degree max(degree - 1, 0); differentiating a constant
     gives the zero series of length one.
     """
-    return ChebSeries(np.array(differentiate_coeffs(list(s.coeffs)), dtype=np.float64))
+    return ChebSeries(differentiate_coeffs(list(s.values)))
 
 
 def u_to_t_coeffs(n: int) -> list[int]:
@@ -158,4 +172,4 @@ def u_to_t(n: int) -> ChebSeries:
     """
     if n < 0:
         raise DomainError("u_to_t needs n >= 0")
-    return ChebSeries(np.array(u_to_t_coeffs(n), dtype=np.float64))
+    return ChebSeries(u_to_t_coeffs(n))

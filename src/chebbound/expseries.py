@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import _kernels
 from .bessel import bessel_i
 from .chebpoly import ChebSeries, _evaluate, clenshaw_eval
@@ -64,25 +62,27 @@ class Enclosure:
 
 @lru_cache(maxsize=None)
 def _coeffs_cached(n: int) -> tuple[float, ...]:
+    if n < 0:
+        raise DomainError("coefficient count needs n >= 0")
     # the coefficients fall with k, so a_n is the first to check
     if 2.0 * bessel_i(n, 1.0) < sys.float_info.min:
         raise DomainError(f"a_{n} is below the smallest normal float; the last above it is a_150")
     return tuple((2.0 if k else 1.0) * bessel_i(k, 1.0) for k in range(n + 1))
 
 
-def exp_cheb_coefficients(n: int) -> np.ndarray:
+def exp_cheb_coefficients(n: int):
     """Coefficients a_0..a_n of the Chebyshev expansion of exp on [-1, 1].
 
     All entries are positive and strictly decreasing from a_1 on, with
     a_{k+1}/a_k <= 4/(5(k+1)).  Each is the correctly rounded 2 I_k(1)
     (I_0(1) for a_0), so within half an ulp of its true value.  Each call
-    returns a fresh, writable array.
+    returns a fresh, writable float64 ndarray.
 
     Raises DomainError from n = 151 on: a_151 = 8.1e-311 is below the
     smallest normal float, where half an ulp is no longer a relative bound.
     """
-    if n < 0:
-        raise DomainError("coefficient count needs n >= 0")
+    import numpy as np
+
     return np.array(_coeffs_cached(n))
 
 
@@ -92,7 +92,7 @@ def partial_sum(n: int) -> ChebSeries:
 
     One series per degree, shared by every caller.
     """
-    return ChebSeries(exp_cheb_coefficients(n))
+    return ChebSeries(_coeffs_cached(n))
 
 
 def taylor_eval(n: int, x):
@@ -168,6 +168,8 @@ def sup_error_comparison(n: int, grid_points: int) -> tuple[float, float]:
         raise DomainError("sup_error_comparison needs n >= 0")
     if grid_points < 100:
         raise DomainError("grid must have at least 100 points")
+    import numpy as np
+
     grid = np.linspace(-1.0, 1.0, grid_points)
     ref = np.exp(grid)
     cheb_err = float(np.max(np.abs(clenshaw_eval(partial_sum(n), grid) - ref)))

@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -164,20 +165,58 @@ class TestUtoT:
 
 
 def test_a_series_keeps_a_read_only_copy():
+    cases = (
+        ((1.0, -0.0, 2.5), (1.0, -0.0, 2.5)),
+        ([1.0, -0.5, 3.0], (1.0, -0.5, 3.0)),
+        ([1, 2, 3], (1.0, 2.0, 3.0)),
+        (np.array([0.1, -0.0, 1e300]), (0.1, -0.0, 1e300)),
+    )
+    for given, values in cases:
+        s = ChebSeries(given)
+        assert s.values == values and all(type(v) is float for v in s.values)
+        assert s.degree == len(values) - 1
+        if not isinstance(given, tuple):
+            given[1] = 7
+        assert s.values == values
+        assert s.coeffs is s.coeffs
+        assert s.coeffs.dtype == np.float64 and not s.coeffs.flags.writeable
+        assert s.coeffs.tobytes() == struct.pack(f"={len(values)}d", *values)
+        with pytest.raises(ValueError):
+            s.coeffs[1] = 0.0
+        assert s.values == values
     coeffs = np.array([1.0, 2.0, 3.0])
     s = ChebSeries(coeffs)
     coeffs[1] = 0.0
     assert clenshaw_eval(s, -2.0) == clenshaw_eval(s, np.array([-2.0]))[0] == 18.0
-    with pytest.raises(ValueError):
-        s.coeffs[1] = 0.0
 
 
 def test_series_validation():
-    with pytest.raises(ValueError):
-        ChebSeries(np.array([]))
-    with pytest.raises(ValueError):
-        ChebSeries(np.array([1.0, np.nan]))
+    cases = (
+        ([], "at least one coefficient"),
+        (np.array([]), "at least one coefficient"),
+        (np.array([[1.0, 2.0]]), "at least one coefficient"),
+        (np.array([[1.0], [2.0]]), "at least one coefficient"),
+        ([[1.0], [2.0]], "at least one coefficient"),
+        (np.array(3.0), "at least one coefficient"),
+        (5.0, "at least one coefficient"),
+        ("12", "at least one coefficient"),
+        (np.array([1.0, np.nan]), "finite"),
+        ([float("inf")], "finite"),
+        (np.array([1.0, -np.inf]), "finite"),
+    )
+    for given, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ChebSeries(given)
     assert ChebSeries(np.array([1.0, 0.0, 2.0])).degree == 2
+
+
+def test_series_compare_and_hash_by_values():
+    a, b = ChebSeries(np.array([1.0, 2.0])), ChebSeries([1, 2])
+    assert a == b and hash(a) == hash(b)
+    assert a != ChebSeries([1.0, 2.5])
+    s = partial_sum(3)
+    assert s == ChebSeries(s.coeffs) and hash(s) == hash(ChebSeries(s.values))
+    assert len({s, ChebSeries(s.values), partial_sum(4)}) == 2
 
 
 SCALAR_INPUTS = (-3, -2.5, np.float64(-2.5), np.array(-2.5))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+import chebbound as cb
 import oracles
 from chebbound.cli import _SWEEP_BLOCK, SWEEP_HEADER, _emit_table, main
 
@@ -424,6 +425,57 @@ assert cli.main(["enclose", "--n", "3", "--x=-2.5"]) == 0
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count('"verdict": "accepted"') == 64
     assert proc.stdout.endswith(",5,6\n")
+
+
+# every float-point entry of the API, as one expression
+FLOAT_CALLS = """(
+    cb.cheb_sandwich(8, -5.0), cb.taylor_sandwich(7, -2.5), cb.clenshaw_eval(cb.partial_sum(6), -3.0),
+    cb.eval_T(5, -1.5), cb.eval_U(4, -2), cb.taylor_eval(9, -4.0), cb.bessel_i(3, 1.0),
+    cb.bessel_i_enclosure(2, 0.5), cb.partial_sum(8).values, cb.build_G_via_reduction(8).values,
+    cb.sign_certificate(8),
+)"""
+
+
+def test_float_points_need_no_numpy():
+    script = f"""
+import sys
+import chebbound as cb
+assert "numpy" not in sys.modules, "import chebbound loaded numpy"
+sys.modules["numpy"] = None  # any later import of numpy raises ImportError
+print(repr({FLOAT_CALLS}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == repr(eval(FLOAT_CALLS)) + "\n"
+
+
+# array calls on series first made and evaluated at float points
+ARRAY_CALLS = """
+import hashlib
+import numpy as np
+xs = np.linspace(-30.0, -1.01, 2 * 32768 + 17)
+outs = (cb.clenshaw_eval(cb.partial_sum(31), xs), cb.clenshaw_eval(cb.partial_sum(8), xs[:999]),
+        cb.taylor_eval(9, xs), cb.eval_U(6, xs[:99]), cb.partial_sum(8).coeffs,
+        cb.exp_cheb_coefficients(31), cb.build_G_via_reduction(8).coeffs)
+digest = hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest()
+"""
+
+
+def test_arrays_after_a_float_only_start_keep_their_bits():
+    script = f"""
+import sys
+import chebbound as cb
+{FLOAT_CALLS}
+cb.cheb_sandwich(16, -5.0)
+assert "numpy" not in sys.modules
+{ARRAY_CALLS}
+print(digest)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    here = {"cb": cb}
+    exec(ARRAY_CALLS, here)
+    assert proc.stdout == here["digest"] + "\n"
 
 
 SWEEP_100K = [sys.executable, "-m", "chebbound", "sweep", "--n", "4", "--x-min=-30", "--x-max=-2",
