@@ -107,6 +107,21 @@ class TestBuilders:
             digest.update(build(n).coeffs.tobytes())
         assert digest.hexdigest() == "4c24e040a934ab9f587091439b82ae6fa39cbbbffbf5a4d1f29150e8cca08623"
 
+    @pytest.mark.parametrize(
+        "build, first, expected",
+        (
+            (build_G_via_reduction, 0, "cc3b224ff2dbaf87b777e8d5e0f9cadbc574d9dba4c53b4edc5612d962426158"),
+            (build_G_closed_form, 0, "cc3b224ff2dbaf87b777e8d5e0f9cadbc574d9dba4c53b4edc5612d962426158"),
+            (decomposition_poly, 1, "0f0b179000639d5e32cde614b9a317c70fd96e5bc362e86bb15e90e8c5867814"),
+        ),
+    )
+    def test_every_normal_degree_locked_bit_for_bit(self, build, first, expected):
+        # every degree up to 149, where a_150 is the last normal coefficient
+        digest = hashlib.sha256()
+        for n in range(first, 150):
+            digest.update(build(n).coeffs.tobytes())
+        assert digest.hexdigest() == expected
+
     def test_rejects_negative_degree(self):
         with pytest.raises(DomainError):
             build_G_via_reduction(-1)
