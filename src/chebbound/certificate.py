@@ -11,20 +11,31 @@ quadratic-in-e^t decomposition that exhibits the sign, and issues a
 per-degree accept/reject certificate from three exact rational discriminant
 conditions on the ratio bound 4/(5(N+1)).
 
-Coefficients rest on fixed-point integers: each I_k(1) is the lower end of
+Coefficients rest on fixed-point integers scaled by 2^bits.  The closed
+form takes I_N(1) and I_{N+1}(1) as the lower ends of
 :func:`chebbound.bessel.series_sum` at x = 1, the series summed in integers
-scaled by 2^bits with every term floored, so it lies below I_k(1) by less
-than (terms + 2) units of 2^-bits, and the algebra on top runs exactly on
-integer numerators over 2^bits.  2^-bits is 2^112 or more times smaller than
-I_N(1), the size of the residuals that the reduction route leaves after
-cancelling terms of order one, so the one rounding that shows is the final,
-correctly rounded division of each coefficient by 2^bits.  The decomposition
-takes its Bessel values from the same integers.
+with every term floored, so each lies below 2^bits I_k(1) by less than
+(terms + 2) units.  The reduction route needs every I_k(1), k = 0..N.  It
+sums the two top orders only, with guard bits, and runs the exact
+recurrence I_{k-1}(1) = 2k I_k(1) + I_{k+1}(1) downward on both integer
+bounds, Miller's backward direction (W. Gautschi, SIAM Rev. 9, 1967) in
+exact arithmetic: the spread of the bounds is checked at k = 0, where it is
+largest, and the guard bits are then shifted off, which leaves each value
+within 2 units below 2^bits I_k(1).  The closed form runs no recurrence and
+the reduction route no U expansion, so their bit-for-bit agreement is a
+cross-check.  The algebra on top runs exactly on integer numerators over
+2^bits.  2^-bits is 2^112 or more times smaller than I_N(1), the size of the
+residuals that the reduction route leaves after cancelling terms of order
+one, so the one rounding that shows is the final, correctly rounded division
+of each coefficient by 2^bits.  The decomposition takes its Bessel values
+from the closed form's integers.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,20 +76,54 @@ def _working_bits(n: int) -> int:
     return math.ceil(digits * math.log2(10))
 
 
+def _degree(n, least: int, name: str) -> int:
+    """n as an int, once it is checked to be an integer >= least."""
+    if not isinstance(n, numbers.Integral) or n < least:
+        raise DomainError(f"{name} needs an integer n >= {least}, not {n!r}")
+    return operator.index(n)
+
+
+def _bessel_floors(n: int, bits: int) -> list[int]:
+    """v_k with 2^bits I_k(1) - 2 < v_k <= 2^bits I_k(1), for k = 0..n.
+
+    Two series sums at bits + guard, of orders n + 1 and n, seed the exact
+    recurrence I_{k-1}(1) = 2k I_k(1) + I_{k+1}(1), run downward on their
+    lower and on their upper integers.  Its coefficients are positive, so
+    lower bounds stay below and upper bounds above, and the spread hi_k - lo_k
+    follows the same recurrence: it never falls as k falls, and it grows by
+    a factor of at most I_0(1)/I_{n+1}(1) < 1.3 2^(n+1) (n+1)!.  Checking hi_0 - lo_0 <
+    2^guard therefore puts every lo_k within 2^guard below 2^(bits+guard)
+    I_k(1), and lo_k >> guard within 2 units below 2^bits I_k(1).
+    """
+    # the growth bound, plus room for the seeds' own spread, which grows like
+    # the square of their number of terms
+    guard = (math.factorial(n + 1) << n + 2).bit_length() + 2 * bits.bit_length()
+    lo1, hi1 = series_sum(n + 1, 1.0, bits + guard)
+    lo, hi = series_sum(n, 1.0, bits + guard)
+    los = [lo]
+    for k in range(n, 0, -1):
+        lo, lo1 = 2 * k * lo + lo1, lo
+        hi, hi1 = 2 * k * hi + hi1, hi
+        los.append(lo)
+    if hi - lo >= 1 << guard:
+        raise ArithmeticError(f"the recurrence down from I_{n}(1) spread past its {guard} guard bits")
+    return [v >> guard for v in reversed(los)]
+
+
 @lru_cache(maxsize=None)
 def build_G_via_reduction(n: int) -> ChebSeries:
     """G_n obtained as f_n minus its derivative, both in the T basis.
 
     The exponential cancels between the truncation error and its
     derivative, so the difference is the certificate polynomial itself.
-    Coefficient algebra runs exactly on integer numerators over 2^bits, and
+    The Bessel integers come from :func:`_bessel_floors`; coefficient
+    algebra runs exactly on integer numerators over 2^bits, and
     each coefficient is rounded to float64 once, on return.
     """
-    if n < 0:
-        raise DomainError("build_G_via_reduction needs n >= 0")
+    n = _degree(n, 0, "build_G_via_reduction")
     bits = _working_bits(n)
     # 2^bits times a_0 = I_0(1) and a_k = 2 I_k(1)
-    a = [(2 if k else 1) * series_sum(k, 1.0, bits)[0] for k in range(n + 1)]
+    a = [(2 if k else 1) * v for k, v in enumerate(_bessel_floors(n, bits))]
     d = differentiate_coeffs(a)
     g = [a[j] - (d[j] if j < len(d) else 0) for j in range(n)]
     g.append(a[n])
@@ -104,8 +149,7 @@ def build_G_closed_form(n: int) -> ChebSeries:
     exact integer U-to-T expansions, so the only rounding is the final,
     correctly rounded division of each coefficient by 2^bits.
     """
-    if n < 0:
-        raise DomainError("build_G_closed_form needs n >= 0")
+    n = _degree(n, 0, "build_G_closed_form")
     bits, _, _, g = _closed_form_ints(n)
     return ChebSeries([v / (1 << bits) for v in g])
 
@@ -120,8 +164,7 @@ def decomposition_poly(n: int) -> ChebSeries:
     :func:`decomposition_terms` is an exact identity for this variant, not
     for G_n itself.
     """
-    if n < 1:
-        raise DomainError("decomposition_poly needs n >= 1")
+    n = _degree(n, 1, "decomposition_poly")
     bits, i_n, _, g = _closed_form_ints(n)
     c = [v - i_n if j in (0, n) else v for j, v in enumerate(g)]
     return ChebSeries([v / (1 << bits) for v in c])
@@ -134,8 +177,7 @@ def reduction_identity_residual(n: int, x: float) -> float:
     right side from the closed form; the residual is scaled by the largest
     magnitude entering the identity, max(1, |f_n|, |f_n'|, |G_n|).
     """
-    if n < 0:
-        raise DomainError("reduction_identity_residual needs n >= 0")
+    n = _degree(n, 0, "reduction_identity_residual")
     f = partial_sum(n)
     fv = clenshaw_eval(f, x)
     fpv = clenshaw_eval(differentiate(f), x)
@@ -171,8 +213,7 @@ def _decomposition_params(n: int, r: float):
 
 def decomposition_quadratics(n: int) -> tuple[QuadraticInE, ...]:
     """The five quadratics in e^t underlying the pieces A..E at degree n."""
-    if n < 1:
-        raise DomainError("the decomposition needs n >= 1")
+    n = _degree(n, 1, "the decomposition")
     _, i_n, i_np1, _ = _closed_form_ints(n)
     r = i_np1 / i_n
     a, b, c, d = _decomposition_params(n, r)
@@ -194,7 +235,7 @@ def decomposition_terms(n: int, t: float) -> tuple[float, float, float, float, f
     :func:`sign_certificate` hold; their sum equals the quantity checked by
     :func:`decomposition_check`.
     """
-    _validate_decomposition_args(n, t)
+    n = _validate_decomposition_args(n, t)
     q_a, q_b, q_c, q_d, q_e = decomposition_quadratics(n)
     e1 = math.exp(t)
     special = {n - 2, n - 1, n, n + 1}
@@ -206,15 +247,16 @@ def decomposition_terms(n: int, t: float) -> tuple[float, float, float, float, f
     return term_a, term_b, term_c, term_d, term_e
 
 
-def _validate_decomposition_args(n: int, t: float) -> None:
-    if n < 1:
-        raise DomainError("the decomposition needs n >= 1")
+def _validate_decomposition_args(n: int, t: float) -> int:
+    """n as an int, once n and t are checked."""
+    n = _degree(n, 1, "the decomposition")
     if not t > 0:
         raise DomainError("the decomposition needs t > 0")
     if t < 1e-6:
         raise DomainError("t below 1e-6 is refused: (e^t - 1) is evaluated directly")
     if (2 * n + 3) * t > _EXP_ARG_LIMIT:
         raise DomainError("e^{(2n+3)t} would leave float64 range")
+    return n
 
 
 def decomposition_check(n: int, t: float) -> float:
@@ -225,7 +267,7 @@ def decomposition_check(n: int, t: float) -> float:
     the five pieces built directly from exponentials.  Plain float64
     throughout: this is a consistency diagnostic, not the certified path.
     """
-    _validate_decomposition_args(n, t)
+    n = _validate_decomposition_args(n, t)
     bits, i_n, _, _ = _closed_form_ints(n)
     x = -math.cosh(t)
     kval = clenshaw_eval(decomposition_poly(n), x)
@@ -293,6 +335,16 @@ def sign_certificate(n: int) -> Certificate:
     )
 
 
+@lru_cache(maxsize=8)
+def _scan_grid(x_min: float, points: int):
+    """The read-only log grid of :func:`grid_sign_scan`, built once per (x_min, points)."""
+    import numpy as np
+
+    grid = -np.geomspace(-x_min, 1.0 + 1e-6, points)
+    grid.flags.writeable = False
+    return grid
+
+
 def grid_sign_scan(n: int, x_min: float, points: int) -> bool:
     """Empirical complement to the certificate: sign of G_n on a log grid.
 
@@ -301,17 +353,15 @@ def grid_sign_scan(n: int, x_min: float, points: int) -> bool:
     strictly positive everywhere.  Raises DomainError when G_n leaves the
     float range on the grid, where its sign could no longer be read.
     """
-    if n < 1:
-        raise DomainError("grid_sign_scan needs n >= 1")
+    n = _degree(n, 1, "grid_sign_scan")
     if not -math.inf < x_min < -1.0:
         raise DomainError("grid_sign_scan needs a finite x_min < -1")
-    if points < 10:
-        raise DomainError("grid_sign_scan needs at least 10 points")
+    if not isinstance(points, numbers.Integral) or points < 10:
+        raise DomainError(f"grid_sign_scan needs an integer of at least 10 points, not {points!r}")
     import numpy as np
 
-    grid = -np.geomspace(-x_min, 1.0 + 1e-6, points)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = clenshaw_eval(build_G_via_reduction(n), grid)
+        vals = clenshaw_eval(build_G_via_reduction(n), _scan_grid(x_min, points))
     if not np.all(np.isfinite(vals)):
         raise DomainError(f"G_{n} leaves the float range on [{x_min!r}, -1)")
     return bool(np.all((-1) ** n * vals > 0.0))

@@ -17,14 +17,14 @@ from mpmath import mp
 DPS = 80
 
 
-def mp_bessel_i(n: int, x) -> mp.mpf:
-    """I_n(x) by direct summation of (x/2)^(2m+n) / (m! (m+n)!)."""
-    with mp.workdps(DPS):
+def mp_bessel_i(n: int, x, dps: int = DPS) -> mp.mpf:
+    """I_n(x) by direct summation of (x/2)^(2m+n) / (m! (m+n)!), to ``dps`` digits."""
+    with mp.workdps(dps):
         xv = mp.mpf(x)
         half = xv / 2
         total = mp.mpf(0)
-        tiny = mp.mpf(10) ** (-(DPS + 10))
-        for m in range(DPS * 4 + 100):
+        tiny = mp.mpf(10) ** (-(dps + 10))
+        for m in range(dps * 4 + 100):
             term = half ** (2 * m + n) / (mp.factorial(m) * mp.factorial(m + n))
             total += term
             if m > 2 and term < tiny * total:

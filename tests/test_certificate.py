@@ -22,6 +22,8 @@ from chebbound import (
     reduction_identity_residual,
     sign_certificate,
 )
+from chebbound import certificate
+from chebbound.bessel import series_sum
 
 I1_AT_1 = 0.5651591039924851
 I2_AT_1 = 0.1357476697670383
@@ -128,6 +130,47 @@ class TestBuilders:
         with pytest.raises(DomainError):
             build_G_closed_form(-1)
 
+    @pytest.mark.parametrize("n", (2.0, 2.5, "2", None))
+    @pytest.mark.parametrize("build", (build_G_via_reduction, build_G_closed_form, decomposition_poly))
+    def test_rejects_a_non_integer_degree(self, build, n):
+        # the rule bessel_i applies to its order: a numbers.Integral, so 2.0 is refused
+        with pytest.raises(DomainError, match="integer"):
+            build(n)
+
+    @pytest.mark.parametrize("build", (build_G_via_reduction, build_G_closed_form, decomposition_poly))
+    def test_accepts_a_numpy_integer_degree(self, build):
+        assert build(np.int64(5)).values == build(5).values
+
+
+class TestBesselFloors:
+    """The integers under build_G_via_reduction: two series sums and a backward recurrence."""
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 16, 64, 128, 149))
+    def test_each_lies_within_two_units_below_the_scaled_value(self, n):
+        bits = certificate._working_bits(n)
+        floors = certificate._bessel_floors(n, bits)
+        assert len(floors) == n + 1
+        # 80 digits cannot resolve a unit of 2^bits I_0(1) once bits passes
+        # about 260: take the oracle to 20 digits below the unit
+        dps = int(bits * 0.30103) + 22
+        with mp.workdps(dps):
+            for k, v in enumerate(floors):
+                exact = mp.ldexp(oracles.mp_bessel_i(k, 1, dps), bits)
+                assert exact - 2 < v <= exact, (n, k)
+                assert v <= series_sum(k, 1.0, bits)[1]
+
+    def test_a_spread_past_the_guard_bits_is_refused(self, monkeypatch):
+        # seeds whose bounds lie too far apart must not pass for floors
+        real = certificate.series_sum
+
+        def wide(k, x, bits):
+            lo, _ = real(k, x, bits)
+            return lo, lo + (1 << bits // 2)
+
+        monkeypatch.setattr(certificate, "series_sum", wide)
+        with pytest.raises(ArithmeticError, match="guard"):
+            certificate._bessel_floors(8, certificate._working_bits(8))
+
 
 class TestReductionIdentity:
     def test_low_degree(self):
@@ -180,6 +223,19 @@ class TestDecomposition:
     def test_rejects_degree_zero(self):
         with pytest.raises(DomainError):
             decomposition_check(0, 1.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        (
+            lambda: decomposition_quadratics(2.0),
+            lambda: decomposition_terms(2.5, 1.0),
+            lambda: decomposition_check(3.0, 1.0),
+            lambda: reduction_identity_residual(2.0, -2.0),
+        ),
+    )
+    def test_rejects_a_non_integer_degree(self, call):
+        with pytest.raises(DomainError, match="integer"):
+            call()
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_quadratics_positive_beyond_one(self, n):
@@ -291,6 +347,23 @@ class TestGridSignScan:
             grid_sign_scan(2, -0.5, 500)
         with pytest.raises(DomainError):
             grid_sign_scan(2, -100.0, 5)
+
+    @pytest.mark.parametrize("n, points", ((2.0, 500), (2.5, 500), (2, 500.0), (2, "500")))
+    def test_a_non_integer_degree_or_point_count_is_a_domain_error(self, n, points):
+        with pytest.raises(DomainError, match="integer"):
+            grid_sign_scan(n, -100.0, points)
+
+    def test_the_grid_is_built_once_and_read_only(self):
+        certificate._scan_grid.cache_clear()
+        for n in (1, 2, 3):
+            assert grid_sign_scan(n, -50.0, 200) is True
+        info = certificate._scan_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert not certificate._scan_grid(-50.0, 200).flags.writeable
+
+    def test_a_grid_longer_than_a_kernel_block(self):
+        # the blocked kernels read the shared grid and write only their own buffers
+        assert grid_sign_scan(5, -100.0, 2 * 32768 + 1) is True
 
     @pytest.mark.parametrize("x_min", (-math.inf, math.nan))
     def test_a_non_finite_left_end_is_a_domain_error(self, x_min):
