@@ -335,7 +335,7 @@ def sign_certificate(n: int) -> Certificate:
     )
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=4)
 def _scan_grid(x_min: float, points: int):
     """The read-only log grid of :func:`grid_sign_scan`, built once per (x_min, points)."""
     import numpy as np
