@@ -1,4 +1,4 @@
-"""Kernels for the hot evaluation loops: Clenshaw and Horner.
+"""Kernels for the hot evaluation loops, Clenshaw and Horner, and ``evaluate``.
 
 Each kernel runs a Python loop over the recurrence index in one of two
 forms.  Without ``work`` it uses only arithmetic operators, so one function
@@ -12,29 +12,33 @@ float, the same value inside an array and either loop form give the same
 bits.  The operator form is tested first, so a float pays one ``is None``
 check.
 
-A long array goes through ``blocked``, which runs the whole recurrence on
-``BLOCK`` points at a time.  Over the whole array at once, each step
-streams the points and the recurrence's arrays through memory; a 2M-point
-array is 16 MB, far above the per-core L2 cache.  Over a block, the live
-arrays (the points and four buffers: 1.25 MiB at 32768 points) stay in L2
-for all steps.  ``BLOCK`` comes from two scans of 4096..131072 points on
-2M points (best of 5): Clenshaw at degree 64 in the operator form, and a
+``evaluate`` is the one route from a point argument to a kernel.  A scalar
+(a Python or numpy int or float, or a 0-d array) runs the operator form in
+Python floats and gives a Python float.  Every other array, whatever its
+size, runs in place, ``BLOCK`` points at a time, and gives a float64
+ndarray of its shape.  Over the whole array at once, each step would stream
+the points and the recurrence's arrays through memory; a 2M-point array is
+16 MB, far above the per-core L2 cache.  Over a block, the live arrays (the
+points and four buffers: 1.25 MiB at 32768 points) stay in L2 for all
+steps.  ``BLOCK`` comes from two scans of 4096..131072 points on 2M points
+(best of 5): Clenshaw at degree 64 in the operator form, and a
 10-evaluation grid round in the in-place form; 32768 was fastest in both
 (CHANGES.md gives the figures).  Blocks cannot change a bit: ``+ - * /``
 round each element on its own, whatever the slice or the SIMD path, and a
 block applies the same operations in the same order to each point.
 
-``blocked`` cuts four buffers of at most ``BLOCK`` points from one
+``evaluate`` cuts four buffers of at most ``BLOCK`` points from one
 allocation, each on a 64-byte boundary, and runs the kernel in place on
 them.  The operator form's temporaries land wherever malloc puts them, so
 its timing followed the heap's history: the in-place loop ran that grid
 round in 717-728 ms on aligned buffers but in 868-1041 ms on buffers 8,
-16, 32 or 48 bytes past a boundary.  The buffers belong to one call of
-``blocked`` and are never kept, so threads may evaluate at the same time,
-and no result shares memory with them.
+16, 32 or 48 bytes past a boundary, and on 32768 points the operator loop
+took 235 minor page faults against 31 in place.  The buffers belong to one
+call of ``evaluate`` and are never kept, so threads may evaluate at the
+same time, and no result shares memory with them.
 
-numpy is imported only in the in-place branch and in ``blocked``, which
-only arrays reach, so a float point runs without it.
+numpy is imported only in the in-place branch and in the array branch of
+``evaluate``, which only arrays reach, so a float point runs without it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 # points per block, from the scans above
 BLOCK = 32768
 
-# buffers cut by ``blocked``: clenshaw_kernel's 2x, b1, b2 and its step
+# buffers cut by ``evaluate``: clenshaw_kernel's 2x, b1, b2 and its step
 # result; taylor_kernel uses the first
 _BUFFERS = 4
 _ALIGN = 64
@@ -104,28 +108,31 @@ def taylor_kernel(n, xs, work=None):
     return v
 
 
-def blocked(kernel, arg, xs):
-    """kernel(arg, xs) for a float64 ndarray xs, evaluated BLOCK points at a time.
+def evaluate(kernel, arg, x):
+    """kernel(arg, points) at the points of x: a float for a scalar, else an ndarray.
 
-    The result is a C-ordered float64 array of xs' shape.  ``kernel`` is
-    called once per block, with four aligned work buffers of the block's
-    size as its third argument; the caller passes it as it finds it in this
-    module at call time, so a wrapper set there sees every call.
+    An array's result is a C-ordered float64 array of its shape.  ``kernel``
+    is called once per block, with four aligned work buffers of the block's
+    size as its third argument.  Callers pass it as ``_kernels.<name>``
+    looked up at call time, so a wrapper set on that module attribute
+    (perfbench's tracer) sees every call.
     """
+    if isinstance(x, (int, float)):
+        return kernel(arg, float(x))
     import numpy as np
 
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim == 0:
+        return kernel(arg, float(xs))
     flat = xs.reshape(-1)
     out = np.empty(flat.size)
-    size = min(flat.size, BLOCK)
-    # each buffer's bytes rounded up to the alignment, plus room to align the first
-    stride = -(-size * 8 // _ALIGN) * _ALIGN
+    # one row per buffer, its bytes rounded up to the alignment, plus room
+    # to align the first; no closure here, whose cells a float would pay for
+    stride = -(-min(flat.size, BLOCK) * 8 // _ALIGN) * _ALIGN
     raw = np.empty(_BUFFERS * stride + _ALIGN, dtype=np.uint8)
     first = -raw.ctypes.data % _ALIGN
-    work = tuple(raw[first + i * stride:first + i * stride + size * 8].view(np.float64)
-                 for i in range(_BUFFERS))
+    rows = raw[first:first + _BUFFERS * stride].view(np.float64).reshape(_BUFFERS, stride // 8)
     for i in range(0, flat.size, BLOCK):
         block = flat[i:i + BLOCK]
-        if block.size < size:
-            work = tuple(w[:block.size] for w in work)
-        out[i:i + BLOCK] = kernel(arg, block, work)
+        out[i:i + BLOCK] = kernel(arg, block, tuple(rows[:, :block.size]))
     return out.reshape(xs.shape)

@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, _degree
 
 __all__ = [
     "Interval",
@@ -132,11 +130,10 @@ def series_sum(n: int, x: float, bits: int) -> tuple[int, int]:
 
 def _check_order_and_x(n, x) -> tuple[int, float]:
     """The order as an int and the argument as a float, once both are checked."""
-    if not isinstance(n, numbers.Integral) or n < 0:
-        raise DomainError(f"order must be a non-negative integer, not {n!r}")
+    n = _degree(n, 0, "the order")
     if not x > 0:
         raise DomainError("argument must be positive")
-    return operator.index(n), float(x)
+    return n, float(x)
 
 
 def _leading_term_frexp(n: int, x: float) -> tuple[float, int]:

@@ -34,8 +34,6 @@ from the closed form's integers.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,7 +46,7 @@ from .chebpoly import (
     differentiate_coeffs,
     u_to_t_coeffs,
 )
-from .errors import DomainError
+from .errors import DomainError, _degree
 from .expseries import partial_sum
 
 __all__ = [
@@ -74,13 +72,6 @@ def _working_bits(n: int) -> int:
     """Fixed-point bits for G_n: some 35 decimal digits below I_n(1) ~ 1/(2^n n!)."""
     digits = 35 if n < 2 else 35 + int(0.30103 * n + math.lgamma(n + 1) / math.log(10.0))
     return math.ceil(digits * math.log2(10))
-
-
-def _degree(n, least: int, name: str) -> int:
-    """n as an int, once it is checked to be an integer >= least."""
-    if not isinstance(n, numbers.Integral) or n < least:
-        raise DomainError(f"{name} needs an integer n >= {least}, not {n!r}")
-    return operator.index(n)
 
 
 def _bessel_floors(n: int, bits: int) -> list[int]:
@@ -110,7 +101,7 @@ def _bessel_floors(n: int, bits: int) -> list[int]:
     return [v >> guard for v in reversed(los)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_G_via_reduction(n: int) -> ChebSeries:
     """G_n obtained as f_n minus its derivative, both in the T basis.
 
@@ -141,7 +132,7 @@ def _closed_form_ints(n: int) -> tuple[int, int, int, list[int]]:
     return bits, i_n, i_np1, g
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_G_closed_form(n: int) -> ChebSeries:
     """G_n assembled as I_n(1) U_n + I_{n+1}(1) U_{n-1} in the T basis.
 
@@ -154,7 +145,7 @@ def build_G_closed_form(n: int) -> ChebSeries:
     return ChebSeries([v / (1 << bits) for v in g])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def decomposition_poly(n: int) -> ChebSeries:
     """The polynomial variant whose transform splits into the five terms.
 
@@ -318,8 +309,7 @@ def sign_certificate(n: int) -> Certificate:
     Arithmetic is exact (fractions), independent of any floating-point
     Bessel evaluation.
     """
-    if n < 1:
-        raise DomainError("certificates are defined for n >= 1")
+    n = _degree(n, 1, "sign_certificate")
     rb = bessel_ratio_bound(n, 1.0, specialize=True)
     cond_unit = 4 * rb * rb - 4 < 0
     cond_shifted = 4 * rb * rb - 4 * (1 - 2 * rb) < 0
@@ -356,8 +346,7 @@ def grid_sign_scan(n: int, x_min: float, points: int) -> bool:
     n = _degree(n, 1, "grid_sign_scan")
     if not -math.inf < x_min < -1.0:
         raise DomainError("grid_sign_scan needs a finite x_min < -1")
-    if not isinstance(points, numbers.Integral) or points < 10:
-        raise DomainError(f"grid_sign_scan needs an integer of at least 10 points, not {points!r}")
+    points = _degree(points, 10, "grid_sign_scan's point count")
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):

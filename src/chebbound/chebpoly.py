@@ -11,17 +11,9 @@ expansion
 
 so every result stays in the single canonical T basis.
 
-Every evaluator takes a scalar or an array of points.  A scalar (a Python
-or numpy int or float, or a 0-d array) is evaluated in Python floats and
-gives a Python float; any other array gives a float64 ndarray of its shape.
-numpy is imported only where an array is taken or built, so a Python
-float point and a series made from floats run without it.
-An array of more than ``_kernels.BLOCK`` points is evaluated one block of
-points at a time, in place on work buffers allocated once per call, so the
-recurrence's arrays stay in cache and no step allocates a temporary.
-Scalars and shorter arrays run the kernel's operator form.  All of these
-run the same IEEE operations in the same order, so a point gives the same
-bits either way.
+Every evaluator takes a scalar or an array of points and routes it through
+``_kernels.evaluate``: a scalar gives a Python float and any other array a
+float64 ndarray of its shape, with the same bits at each point.
 """
 
 from __future__ import annotations
@@ -31,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernels
-from .errors import DomainError
+from .errors import _degree
 
 __all__ = ["ChebSeries", "eval_T", "eval_U", "clenshaw_eval", "differentiate", "u_to_t"]
 
@@ -78,45 +70,21 @@ class ChebSeries:
         return arr
 
 
-def _evaluate(kernel, arg, x):
-    """kernel(arg, points) at the points of x.
-
-    A scalar reaches the kernel as a Python float and any other array as a
-    float64 ndarray; an array of more than ``_kernels.BLOCK`` points goes
-    through ``_kernels.blocked``, which runs the kernel in place.  Callers
-    pass the kernel as ``_kernels.<name>`` looked up at call time, so a
-    wrapper set on that module attribute (perfbench's tracer) sees every
-    call.
-    """
-    if isinstance(x, (int, float)):
-        return kernel(arg, float(x))
-    import numpy as np
-
-    xs = np.asarray(x, dtype=np.float64)
-    if xs.ndim == 0:
-        return kernel(arg, float(xs))
-    if xs.size <= _kernels.BLOCK:
-        return kernel(arg, xs)
-    return _kernels.blocked(kernel, arg, xs)
-
-
 def eval_T(n: int, x):
     """T_n(x) for n >= 0; accepts a scalar or an array of points."""
-    if n < 0:
-        raise DomainError("T_n needs n >= 0")
-    return _evaluate(_kernels.clenshaw_kernel, (0.0,) * n + (1.0,), x)
+    n = _degree(n, 0, "T_n")
+    return _kernels.evaluate(_kernels.clenshaw_kernel, (0.0,) * n + (1.0,), x)
 
 
 def eval_U(n: int, x):
     """U_n(x) for n >= -1 (U_{-1} is identically 0); scalar or array."""
-    if n < -1:
-        raise DomainError("U_n needs n >= -1")
-    return _evaluate(_kernels.clenshaw_kernel, tuple(map(float, u_to_t_coeffs(n))), x)
+    n = _degree(n, -1, "U_n")
+    return _kernels.evaluate(_kernels.clenshaw_kernel, tuple(map(float, u_to_t_coeffs(n))), x)
 
 
 def clenshaw_eval(s: ChebSeries, x):
     """Evaluate a T-basis series by Clenshaw's recurrence; scalar or array."""
-    return _evaluate(_kernels.clenshaw_kernel, s.values, x)
+    return _kernels.evaluate(_kernels.clenshaw_kernel, s.values, x)
 
 
 def differentiate_coeffs(coeffs):
@@ -170,6 +138,4 @@ def u_to_t(n: int) -> ChebSeries:
     on every even-index T_j <= n except T_0, which carries 1 (the trailing
     -1 merged into 2 T_0).
     """
-    if n < 0:
-        raise DomainError("u_to_t needs n >= 0")
-    return ChebSeries(u_to_t_coeffs(n))
+    return ChebSeries(u_to_t_coeffs(_degree(n, 0, "u_to_t")))

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from . import _kernels
 from .bessel import bessel_i
-from .chebpoly import ChebSeries, _evaluate, clenshaw_eval
-from .errors import DomainError
+from .chebpoly import ChebSeries, clenshaw_eval
+from .errors import DomainError, _degree
 
 __all__ = [
     "Enclosure",
@@ -60,14 +60,16 @@ class Enclosure:
             raise ValueError("degree pairing must be (2N-1, 2N)")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _coeffs_cached(n: int) -> tuple[float, ...]:
-    if n < 0:
-        raise DomainError("coefficient count needs n >= 0")
-    # the coefficients fall with k, so a_n is the first to check
-    if 2.0 * bessel_i(n, 1.0) < sys.float_info.min:
+    """a_0..a_n, each computed once: a_n on top of the cached a_0..a_{n-1}."""
+    n = _degree(n, 0, "the coefficient count")
+    a_n = (2.0 if n else 1.0) * bessel_i(n, 1.0)
+    # the coefficients fall with k, so a_n is the first to check, before
+    # the recursion goes down n levels
+    if a_n < sys.float_info.min:
         raise DomainError(f"a_{n} is below the smallest normal float; the last above it is a_150")
-    return tuple((2.0 if k else 1.0) * bessel_i(k, 1.0) for k in range(n + 1))
+    return (_coeffs_cached(n - 1) if n else ()) + (a_n,)
 
 
 def exp_cheb_coefficients(n: int):
@@ -86,7 +88,7 @@ def exp_cheb_coefficients(n: int):
     return np.array(_coeffs_cached(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partial_sum(n: int) -> ChebSeries:
     """The degree-n truncation f_n = sum_{k<=n} a_k T_k as a T-basis series.
 
@@ -101,9 +103,7 @@ def taylor_eval(n: int, x):
     Accepts a scalar (giving a Python float) or an array of points (giving
     an ndarray), as the evaluators of :mod:`chebbound.chebpoly` do.
     """
-    if n < 0:
-        raise DomainError("taylor_eval needs n >= 0")
-    return _evaluate(_kernels.taylor_kernel, n, x)
+    return _kernels.evaluate(_kernels.taylor_kernel, _degree(n, 0, "taylor_eval"), x)
 
 
 def taylor_sandwich(n: int, x: float) -> Enclosure:
@@ -111,7 +111,8 @@ def taylor_sandwich(n: int, x: float) -> Enclosure:
 
     Valid for odd n and x < 0; anything else is rejected.
     """
-    if n < 1 or n % 2 == 0:
+    n = _degree(n, 1, "the Maclaurin bracket")
+    if n % 2 == 0:
         raise DomainError("the Maclaurin bracket needs an odd degree")
     if not x < 0:
         raise DomainError("the Maclaurin bracket holds for x < 0 only")
@@ -131,8 +132,7 @@ def cheb_sandwich(n: int, x: float) -> Enclosure:
     Points with x >= -1 are rejected rather than given an uncertified
     answer: the bracket is only guaranteed on (-inf, -1).
     """
-    if n < 1:
-        raise DomainError("the Chebyshev bracket needs n >= 1")
+    n = _degree(n, 1, "the Chebyshev bracket")
     if not x < -1.0:
         raise DomainError("the Chebyshev bracket is certified on x < -1 only")
     lo_series = partial_sum(2 * n - 1)
@@ -153,9 +153,7 @@ def endpoint_gap(n: int) -> float:
     alternates around exp(-1) at the endpoint; the gap shrinks to 0 as the
     expansion converges.
     """
-    if n < 0:
-        raise DomainError("endpoint_gap needs n >= 0")
-    return clenshaw_eval(partial_sum(n), -1.0) - math.exp(-1.0)
+    return clenshaw_eval(partial_sum(_degree(n, 0, "endpoint_gap")), -1.0) - math.exp(-1.0)
 
 
 def sup_error_comparison(n: int, grid_points: int) -> tuple[float, float]:
@@ -164,10 +162,8 @@ def sup_error_comparison(n: int, grid_points: int) -> tuple[float, float]:
     Both maxima are taken over a uniform grid of ``grid_points`` points; the
     Chebyshev error never exceeds the Maclaurin error.
     """
-    if n < 0:
-        raise DomainError("sup_error_comparison needs n >= 0")
-    if grid_points < 100:
-        raise DomainError("grid must have at least 100 points")
+    n = _degree(n, 0, "sup_error_comparison")
+    grid_points = _degree(grid_points, 100, "the grid's point count")
     import numpy as np
 
     grid = np.linspace(-1.0, 1.0, grid_points)

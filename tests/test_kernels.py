@@ -108,8 +108,9 @@ def test_clenshaw_tracks_the_exact_sum_of_the_exp_truncations():
 
 
 # --- blocked evaluation ------------------------------------------------------
-# An array over _kernels.BLOCK points is evaluated block by block; each
-# evaluator must still give the bits of one kernel call on the whole array.
+# Every array is evaluated in place, _kernels.BLOCK points at a time; each
+# evaluator must still give the bits of one operator-form kernel call on
+# the whole array.
 B = _kernels.BLOCK
 EDGE_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, -1.0, 5e-324]
 
@@ -187,29 +188,55 @@ def test_a_misaligned_input_gives_the_bits_of_an_aligned_copy(size):
 
 
 def test_a_result_never_shares_memory_with_the_next():
-    first = _points(2 * B + 1)
-    second = first[::-1].copy()
+    for size in (500, 2 * B + 1):
+        first = _points(size)
+        second = first[::-1].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for evaluate, _, _ in _blocked_evaluators():
+                a = evaluate(first)
+                kept = a.tolist()
+                b = evaluate(second)
+                _assert_same_bits(kept, a)
+                assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("size", [1, B - 1, B])
+def test_an_array_of_one_block_or_less_runs_in_place(size, monkeypatch):
+    xs = _points(size)
+    seen = []
+
+    def recorder(kernel):
+        def record(arg, block, work=None):
+            seen.append((block.size, work))
+            return kernel(arg, block, work)
+        return record
+
+    for name in ("clenshaw_kernel", "taylor_kernel"):
+        monkeypatch.setattr(_kernels, name, recorder(getattr(_kernels, name)))
     with np.errstate(over="ignore", invalid="ignore"):
         for evaluate, _, _ in _blocked_evaluators():
-            a = evaluate(first)
-            kept = a.tolist()
-            b = evaluate(second)
-            _assert_same_bits(kept, a)
-            assert not np.shares_memory(a, b)
+            seen.clear()
+            evaluate(xs)
+            # one call, on the whole array, with four aligned buffers of its size
+            [(points, work)] = seen
+            assert points == size and work is not None and len(work) == 4
+            for w in work:
+                assert w.dtype == np.float64 and w.size == size and w.ctypes.data % 64 == 0
 
 
 def test_two_threads_get_the_bits_of_sequential_calls():
-    inputs = [_points(2 * B + 1), -_points(2 * B + 1) - 1.0]
+    # each thread evaluates a two-block array and a one-block array
+    inputs = [[_points(2 * B + 1), _points(500)], [-_points(2 * B + 1) - 1.0, -_points(500) - 1.0]]
     evaluators = [evaluate for evaluate, _, _ in _blocked_evaluators()]
     with np.errstate(over="ignore", invalid="ignore"):
-        want = [[evaluate(xs).tolist() for evaluate in evaluators] for xs in inputs]
+        want = [[evaluate(xs).tolist() for xs in mine for evaluate in evaluators] for mine in inputs]
     got = [None, None]
     start = threading.Barrier(2, timeout=60)
 
     def run(i):
         start.wait()
         with np.errstate(over="ignore", invalid="ignore"):
-            got[i] = [evaluate(inputs[i]) for evaluate in evaluators]
+            got[i] = [evaluate(xs) for xs in inputs[i] for evaluate in evaluators]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -223,6 +250,6 @@ def test_two_threads_get_the_bits_of_sequential_calls():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for i in range(2):
-        assert got[i] is not None and len(got[i]) == len(evaluators)
+        assert got[i] is not None and len(got[i]) == len(want[i])
         for floats, arr in zip(want[i], got[i]):
             _assert_same_bits(floats, arr)
