@@ -1,4 +1,4 @@
-"""Kernels for the hot evaluation loops, Clenshaw and Horner, and ``evaluate``.
+"""Clenshaw and Horner kernels for the hot evaluation loops, and ``evaluate``.
 
 Each kernel runs a Python loop over the recurrence index in one of two
 forms.  Without ``work`` it uses only arithmetic operators, so one function
