@@ -11,8 +11,8 @@ comes with exact integer bounds.  :func:`bessel_i` rounds those bounds to a
 float in Ziv's manner (A. Ziv, ACM TOMS 17(3), 1991), raising the bits until
 both ends round alike.  That ends because I_n(x) is transcendental at every
 nonzero rational x (C. L. Siegel, 1929), so it is never a float or the
-midpoint of two.  The certificate polynomials of :mod:`chebbound.certificate`
-take the lower end of the same sum at x = 1.
+midpoint of two.  At x = 1, :func:`_bessel_floors` gives every order up to n
+at once, for the coefficients and the certificate polynomials.
 
 ``bessel_i`` is defined wherever its result is a float: results below half
 the smallest subnormal are 0.0, subnormal results are correctly rounded too,
@@ -126,6 +126,34 @@ def series_sum(n: int, x: float, bits: int) -> tuple[int, int]:
     d = d2 * (m + 1) * (m + 1 + n)
     a = m * (m + 1) // 2 - (m + 1) * d // (mult - d)  # -(y // -z) is ceil(y / z)
     return total, total + 2 * a + 2 * m * ((total >> first.bit_length() - 1) + 1)
+
+
+def _bessel_floors(n: int, bits: int) -> list[int]:
+    """v_k with 2^bits I_k(1) - 2 < v_k <= 2^bits I_k(1), for k = 0..n.
+
+    Two series sums at bits + guard, of orders n + 1 and n, seed the exact
+    recurrence I_{k-1}(1) = 2k I_k(1) + I_{k+1}(1), run downward on their
+    lower and on their upper integers (Miller's direction; W. Gautschi, SIAM
+    Rev. 9, 1967).  Its coefficients are positive, so lower bounds stay below
+    and upper bounds above, and the spread hi_k - lo_k follows the same
+    recurrence: it never falls as k falls, and it grows by a factor of at
+    most I_0(1)/I_{n+1}(1) < 1.3 2^(n+1) (n+1)!.  Checking hi_0 - lo_0 <
+    2^guard therefore puts every lo_k within 2^guard below 2^(bits+guard)
+    I_k(1), and lo_k >> guard within 2 units below 2^bits I_k(1).
+    """
+    # the growth bound, plus room for the seeds' own spread, which grows like
+    # the square of their number of terms
+    guard = (math.factorial(n + 1) << n + 2).bit_length() + 2 * bits.bit_length()
+    lo1, hi1 = series_sum(n + 1, 1.0, bits + guard)
+    lo, hi = series_sum(n, 1.0, bits + guard)
+    los = [lo]
+    for k in range(n, 0, -1):
+        lo, lo1 = 2 * k * lo + lo1, lo
+        hi, hi1 = 2 * k * hi + hi1, hi
+        los.append(lo)
+    if hi - lo >= 1 << guard:
+        raise ArithmeticError(f"the recurrence down from I_{n}(1) spread past its {guard} guard bits")
+    return [v >> guard for v in reversed(los)]
 
 
 def _check_order_and_x(n, x) -> tuple[int, float]:

@@ -15,20 +15,16 @@ Coefficients rest on fixed-point integers scaled by 2^bits.  The closed
 form takes I_N(1) and I_{N+1}(1) as the lower ends of
 :func:`chebbound.bessel.series_sum` at x = 1, the series summed in integers
 with every term floored, so each lies below 2^bits I_k(1) by less than
-(terms + 2) units.  The reduction route needs every I_k(1), k = 0..N.  It
-sums the two top orders only, with guard bits, and runs the exact
-recurrence I_{k-1}(1) = 2k I_k(1) + I_{k+1}(1) downward on both integer
-bounds, Miller's backward direction (W. Gautschi, SIAM Rev. 9, 1967) in
-exact arithmetic: the spread of the bounds is checked at k = 0, where it is
-largest, and the guard bits are then shifted off, which leaves each value
-within 2 units below 2^bits I_k(1).  The closed form runs no recurrence and
-the reduction route no U expansion, so their bit-for-bit agreement is a
-cross-check.  The algebra on top runs exactly on integer numerators over
-2^bits.  2^-bits is 2^112 or more times smaller than I_N(1), the size of the
-residuals that the reduction route leaves after cancelling terms of order
-one, so the one rounding that shows is the final, correctly rounded division
-of each coefficient by 2^bits.  The decomposition takes its Bessel values
-from the closed form's integers.
+(terms + 2) units.  The reduction route takes every I_k(1), k = 0..N, from
+:func:`chebbound.bessel._bessel_floors`, two sums and an exact backward
+recurrence, each within 2 units below 2^bits I_k(1).  The closed form runs
+no recurrence and the reduction route no U expansion, so their bit-for-bit
+agreement is a cross-check.  The algebra on top runs exactly on integer
+numerators over 2^bits.  2^-bits is 2^112 or more times smaller than I_N(1),
+the size of the residuals that the reduction route leaves after cancelling
+terms of order one, so the one rounding that shows is the final, correctly
+rounded division of each coefficient by 2^bits.  The decomposition takes its
+Bessel values from the closed form's integers, computed once per degree.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bessel import bessel_ratio_bound, series_sum
+from .bessel import _bessel_floors, bessel_ratio_bound, series_sum
 from .chebpoly import (
     ChebSeries,
     clenshaw_eval,
@@ -74,33 +70,6 @@ def _working_bits(n: int) -> int:
     return math.ceil(digits * math.log2(10))
 
 
-def _bessel_floors(n: int, bits: int) -> list[int]:
-    """v_k with 2^bits I_k(1) - 2 < v_k <= 2^bits I_k(1), for k = 0..n.
-
-    Two series sums at bits + guard, of orders n + 1 and n, seed the exact
-    recurrence I_{k-1}(1) = 2k I_k(1) + I_{k+1}(1), run downward on their
-    lower and on their upper integers.  Its coefficients are positive, so
-    lower bounds stay below and upper bounds above, and the spread hi_k - lo_k
-    follows the same recurrence: it never falls as k falls, and it grows by
-    a factor of at most I_0(1)/I_{n+1}(1) < 1.3 2^(n+1) (n+1)!.  Checking hi_0 - lo_0 <
-    2^guard therefore puts every lo_k within 2^guard below 2^(bits+guard)
-    I_k(1), and lo_k >> guard within 2 units below 2^bits I_k(1).
-    """
-    # the growth bound, plus room for the seeds' own spread, which grows like
-    # the square of their number of terms
-    guard = (math.factorial(n + 1) << n + 2).bit_length() + 2 * bits.bit_length()
-    lo1, hi1 = series_sum(n + 1, 1.0, bits + guard)
-    lo, hi = series_sum(n, 1.0, bits + guard)
-    los = [lo]
-    for k in range(n, 0, -1):
-        lo, lo1 = 2 * k * lo + lo1, lo
-        hi, hi1 = 2 * k * hi + hi1, hi
-        los.append(lo)
-    if hi - lo >= 1 << guard:
-        raise ArithmeticError(f"the recurrence down from I_{n}(1) spread past its {guard} guard bits")
-    return [v >> guard for v in reversed(los)]
-
-
 @lru_cache(maxsize=None, typed=True)
 def build_G_via_reduction(n: int) -> ChebSeries:
     """G_n obtained as f_n minus its derivative, both in the T basis.
@@ -121,14 +90,15 @@ def build_G_via_reduction(n: int) -> ChebSeries:
     return ChebSeries([v / (1 << bits) for v in g])
 
 
-def _closed_form_ints(n: int) -> tuple[int, int, int, list[int]]:
+@lru_cache(maxsize=None)
+def _closed_form_ints(n: int) -> tuple[int, int, int, tuple[int, ...]]:
     """(bits, i_n, i_np1, g): I_n(1), I_{n+1}(1) and the T coefficients of
     I_n(1) U_n + I_{n+1}(1) U_{n-1}, all as integers times 2^bits."""
     bits = _working_bits(n)
     i_n, i_np1 = (series_sum(k, 1.0, bits)[0] for k in (n, n + 1))
     un = u_to_t_coeffs(n)
     unm1 = u_to_t_coeffs(n - 1)
-    g = [i_n * un[j] + (i_np1 * unm1[j] if j < len(unm1) else 0) for j in range(n + 1)]
+    g = tuple(i_n * un[j] + (i_np1 * unm1[j] if j < len(unm1) else 0) for j in range(n + 1))
     return bits, i_n, i_np1, g
 
 

@@ -4,7 +4,8 @@ The expansion coefficients are modified Bessel values at 1,
 
     a_0 = I_0(1),    a_n = 2 I_n(1)  (n >= 1),
 
-and the truncations f_N = sum_{n<=N} a_n T_n bracket exp on (-inf, -1):
+each correctly rounded from one integer table of I_n(1) up to a_150, and
+the truncations f_N = sum_{n<=N} a_n T_n bracket exp on (-inf, -1):
 odd-degree truncations from below, even-degree ones from above.  The
 ``cheb_sandwich`` pairing (2N-1, 2N) realises that bracket; the classical
 Maclaurin pairing (N, N+1) for odd N and x < 0 is provided as the baseline.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
-from .bessel import bessel_i
+from .bessel import _ZIV_BITS, _bessel_floors
 from .chebpoly import ChebSeries, clenshaw_eval
 from .errors import DomainError, _degree
 
@@ -60,16 +61,24 @@ class Enclosure:
             raise ValueError("degree pairing must be (2N-1, 2N)")
 
 
-@lru_cache(maxsize=None, typed=True)
-def _coeffs_cached(n: int) -> tuple[float, ...]:
-    """a_0..a_n, each computed once: a_n on top of the cached a_0..a_{n-1}."""
-    n = _degree(n, 0, "the coefficient count")
-    a_n = (2.0 if n else 1.0) * bessel_i(n, 1.0)
-    # the coefficients fall with k, so a_n is the first to check, before
-    # the recursion goes down n levels
-    if a_n < sys.float_info.min:
-        raise DomainError(f"a_{n} is below the smallest normal float; the last above it is a_150")
-    return (_coeffs_cached(n - 1) if n else ()) + (a_n,)
+@lru_cache(maxsize=None)
+def _coefficients() -> tuple[float, ...]:
+    """a_0..a_150, the a_k that are normal floats, each correctly rounded.
+
+    a_k lies between c v_k and c (v_k + 2) over 2^bits (c = 1 for a_0, else
+    2; v_k from :func:`_bessel_floors`): where both round alike, that float
+    is a_k.  The order and x are fixed, so they agree on every call or none.
+    """
+    bits = (math.factorial(151) << 151).bit_length() + _ZIV_BITS  # 80 below I_151(1)
+    coeffs = []
+    for k, v in enumerate(_bessel_floors(151, bits)):
+        c = 2 if k else 1
+        a = c * v / (1 << bits)
+        if a != c * (v + 2) / (1 << bits):
+            raise ArithmeticError(f"a_{k} does not settle at {bits} bits")
+        if a >= sys.float_info.min:  # the a_k fall with k, so these are a prefix
+            coeffs.append(a)
+    return tuple(coeffs)
 
 
 def exp_cheb_coefficients(n: int):
@@ -85,16 +94,19 @@ def exp_cheb_coefficients(n: int):
     """
     import numpy as np
 
-    return np.array(_coeffs_cached(n))
+    return np.array(partial_sum(n).values)
 
 
 @lru_cache(maxsize=None, typed=True)
 def partial_sum(n: int) -> ChebSeries:
     """The degree-n truncation f_n = sum_{k<=n} a_k T_k as a T-basis series.
 
-    One series per degree, shared by every caller.
+    One series per degree, shared by every caller; DomainError from n = 151.
     """
-    return ChebSeries(_coeffs_cached(n))
+    n, table = _degree(n, 0, "the coefficient count"), _coefficients()
+    if n >= len(table):
+        raise DomainError(f"a_{n} is below the smallest normal float; the last above it is a_{len(table) - 1}")
+    return ChebSeries(table[: n + 1])
 
 
 def taylor_eval(n: int, x):

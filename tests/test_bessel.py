@@ -14,6 +14,7 @@ from chebbound import (
     bessel_ratio_bound,
     recurrence_residual,
 )
+from chebbound import bessel, certificate
 from chebbound.bessel import series_sum
 
 # frozen from the factorial-series oracle at 80 digits
@@ -139,6 +140,37 @@ class TestSeriesSum:
     def test_refuses_too_few_bits(self, bits):
         with pytest.raises(ValueError):
             series_sum(0, 1.0, bits)
+
+
+class TestBesselFloors:
+    """The integers under the coefficients and build_G_via_reduction: two
+    series sums and a backward recurrence."""
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 16, 64, 128, 149))
+    def test_each_lies_within_two_units_below_the_scaled_value(self, n):
+        bits = certificate._working_bits(n)
+        floors = bessel._bessel_floors(n, bits)
+        assert len(floors) == n + 1
+        # 80 digits cannot resolve a unit of 2^bits I_0(1) once bits passes
+        # about 260: take the oracle to 20 digits below the unit
+        dps = int(bits * 0.30103) + 22
+        with mp.workdps(dps):
+            for k, v in enumerate(floors):
+                exact = mp.ldexp(oracles.mp_bessel_i(k, 1, dps), bits)
+                assert exact - 2 < v <= exact, (n, k)
+                assert v <= series_sum(k, 1.0, bits)[1]
+
+    def test_a_spread_past_the_guard_bits_is_refused(self, monkeypatch):
+        # seeds whose bounds lie too far apart must not pass for floors
+        real = bessel.series_sum
+
+        def wide(k, x, bits):
+            lo, _ = real(k, x, bits)
+            return lo, lo + (1 << bits // 2)
+
+        monkeypatch.setattr(bessel, "series_sum", wide)
+        with pytest.raises(ArithmeticError, match="guard"):
+            bessel._bessel_floors(8, certificate._working_bits(8))
 
 
 class TestEnclosure:

@@ -22,8 +22,7 @@ from chebbound import (
     reduction_identity_residual,
     sign_certificate,
 )
-from chebbound import certificate
-from chebbound.bessel import series_sum
+from chebbound import bessel, certificate
 
 I1_AT_1 = 0.5651591039924851
 I2_AT_1 = 0.1357476697670383
@@ -142,36 +141,6 @@ class TestBuilders:
         assert build(np.int64(5)).values == build(5).values
 
 
-class TestBesselFloors:
-    """The integers under build_G_via_reduction: two series sums and a backward recurrence."""
-
-    @pytest.mark.parametrize("n", (0, 1, 2, 16, 64, 128, 149))
-    def test_each_lies_within_two_units_below_the_scaled_value(self, n):
-        bits = certificate._working_bits(n)
-        floors = certificate._bessel_floors(n, bits)
-        assert len(floors) == n + 1
-        # 80 digits cannot resolve a unit of 2^bits I_0(1) once bits passes
-        # about 260: take the oracle to 20 digits below the unit
-        dps = int(bits * 0.30103) + 22
-        with mp.workdps(dps):
-            for k, v in enumerate(floors):
-                exact = mp.ldexp(oracles.mp_bessel_i(k, 1, dps), bits)
-                assert exact - 2 < v <= exact, (n, k)
-                assert v <= series_sum(k, 1.0, bits)[1]
-
-    def test_a_spread_past_the_guard_bits_is_refused(self, monkeypatch):
-        # seeds whose bounds lie too far apart must not pass for floors
-        real = certificate.series_sum
-
-        def wide(k, x, bits):
-            lo, _ = real(k, x, bits)
-            return lo, lo + (1 << bits // 2)
-
-        monkeypatch.setattr(certificate, "series_sum", wide)
-        with pytest.raises(ArithmeticError, match="guard"):
-            certificate._bessel_floors(8, certificate._working_bits(8))
-
-
 class TestReductionIdentity:
     def test_low_degree(self):
         assert reduction_identity_residual(1, -2.0) <= 1e-13
@@ -273,6 +242,23 @@ class TestDecomposition:
         with mp.workdps(oracles.DPS):
             r = float(oracles.mp_bessel_i(n + 1, 1) / oracles.mp_bessel_i(n, 1))
         assert decomposition_quadratics(n)[0].a1 == -2.0 * r
+
+    def test_the_bessel_integers_are_summed_once_per_degree(self, monkeypatch):
+        first = decomposition_check(32, 1.0), decomposition_quadratics(32)
+        calls = []
+        real = bessel.series_sum
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        # certificate holds its own name for series_sum; wrap both
+        monkeypatch.setattr(bessel, "series_sum", counted)
+        monkeypatch.setattr(certificate, "series_sum", counted)
+        again = decomposition_check(32, 1.0), decomposition_quadratics(32)
+        assert calls == []
+        assert again == first
+        assert certificate._closed_form_ints(32) == certificate._closed_form_ints.__wrapped__(32)
 
     def test_variant_poly_offset_from_reduction(self):
         # the split-friendly variant differs from the reduction polynomial by

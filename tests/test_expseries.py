@@ -20,6 +20,7 @@ from chebbound import (
     taylor_eval,
     taylor_sandwich,
 )
+from chebbound import expseries
 
 # frozen from the 80-digit oracle
 A_FIRST_THREE = (1.2660658777520084, 1.1303182079849703, 0.27149533953407656)
@@ -67,6 +68,26 @@ class TestCoefficients:
             with pytest.raises(DomainError, match="smallest normal float"):
                 exp_cheb_coefficients(n)
 
+
+    def test_each_coefficient_is_the_rounded_bessel_value(self):
+        # bessel_i runs its own Ziv loop per order, apart from the table
+        values = partial_sum(150).values
+        assert len(values) == 151
+        for k, a in enumerate(values):
+            assert a == (2.0 if k else 1.0) * bessel_i(k, 1.0), k
+
+    @pytest.mark.parametrize("call, n", ((partial_sum, 151), (exp_cheb_coefficients, 151),
+                                         (exp_cheb_coefficients, 10**6)))
+    def test_past_a_150_is_a_domain_error_naming_it(self, call, n):
+        with pytest.raises(DomainError, match=f"a_{n} is below .* the last above it is a_150$"):
+            call(n)
+
+    def test_a_table_whose_ends_round_apart_is_refused(self, monkeypatch):
+        # without the bits below I_151(1) its integer is a few units wide,
+        # and v_151 and v_151 + 2 round to different floats
+        monkeypatch.setattr(expseries, "_ZIV_BITS", 0)
+        with pytest.raises(ArithmeticError, match="settle"):
+            expseries._coefficients.__wrapped__()
 
 class TestPartialSum:
     def test_degree_one_at_minus_two(self):
