@@ -132,14 +132,13 @@ def _bessel_floors(n: int, bits: int) -> list[int]:
     """v_k with 2^bits I_k(1) - 2 < v_k <= 2^bits I_k(1), for k = 0..n.
 
     Two series sums at bits + guard, of orders n + 1 and n, seed the exact
-    recurrence I_{k-1}(1) = 2k I_k(1) + I_{k+1}(1), run downward on their
-    lower and on their upper integers (Miller's direction; W. Gautschi, SIAM
-    Rev. 9, 1967).  Its coefficients are positive, so lower bounds stay below
-    and upper bounds above, and the spread hi_k - lo_k follows the same
-    recurrence: it never falls as k falls, and it grows by a factor of at
-    most I_0(1)/I_{n+1}(1) < 1.3 2^(n+1) (n+1)!.  Checking hi_0 - lo_0 <
-    2^guard therefore puts every lo_k within 2^guard below 2^(bits+guard)
-    I_k(1), and lo_k >> guard within 2 units below 2^bits I_k(1).
+    recurrence I_{k-1}(1) = 2k I_k(1) + I_{k+1}(1), run downward (Miller; W.
+    Gautschi, SIAM Rev. 9, 1967) on their lower and their upper integers.  Its
+    coefficients are positive, so lower bounds stay below and upper bounds
+    above, and the spread hi_k - lo_k follows the same recurrence: it never
+    falls as k falls and grows by a factor of at most I_0(1)/I_{n+1}(1) < 1.3
+    2^(n+1) (n+1)!.  So hi_0 - lo_0 < 2^guard puts every lo_k within 2^guard
+    below 2^(bits+guard) I_k(1), and lo_k >> guard within 2 units below 2^bits I_k(1).
     """
     # the growth bound, plus room for the seeds' own spread, which grows like
     # the square of their number of terms

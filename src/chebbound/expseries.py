@@ -4,8 +4,8 @@ The expansion coefficients are modified Bessel values at 1,
 
     a_0 = I_0(1),    a_n = 2 I_n(1)  (n >= 1),
 
-each correctly rounded from one integer table of I_n(1) up to a_150, and
-the truncations f_N = sum_{n<=N} a_n T_n bracket exp on (-inf, -1):
+each correctly rounded from one integer table of I_n(1), built at import,
+up to a_150.  The truncations f_N = sum_{n<=N} a_n T_n bracket exp on (-inf, -1):
 odd-degree truncations from below, even-degree ones from above.  The
 ``cheb_sandwich`` pairing (2N-1, 2N) realises that bracket; the classical
 Maclaurin pairing (N, N+1) for odd N and x < 0 is provided as the baseline.
@@ -61,13 +61,11 @@ class Enclosure:
             raise ValueError("degree pairing must be (2N-1, 2N)")
 
 
-@lru_cache(maxsize=None)
 def _coefficients() -> tuple[float, ...]:
     """a_0..a_150, the a_k that are normal floats, each correctly rounded.
 
-    a_k lies between c v_k and c (v_k + 2) over 2^bits (c = 1 for a_0, else
-    2; v_k from :func:`_bessel_floors`): where both round alike, that float
-    is a_k.  The order and x are fixed, so they agree on every call or none.
+    a_k lies between c v_k and c (v_k + 2) over 2^bits (v_k from _bessel_floors,
+    c = 1 for a_0, else 2): both round alike, to a_k, or neither ever does.
     """
     bits = (math.factorial(151) << 151).bit_length() + _ZIV_BITS  # 80 below I_151(1)
     coeffs = []
@@ -79,6 +77,9 @@ def _coefficients() -> tuple[float, ...]:
         if a >= sys.float_info.min:  # the a_k fall with k, so these are a prefix
             coeffs.append(a)
     return tuple(coeffs)
+
+
+_COEFFICIENTS = _coefficients()  # at import: built amid large arrays, it fragmented the heap
 
 
 def exp_cheb_coefficients(n: int):
@@ -103,10 +104,10 @@ def partial_sum(n: int) -> ChebSeries:
 
     One series per degree, shared by every caller; DomainError from n = 151.
     """
-    n, table = _degree(n, 0, "the coefficient count"), _coefficients()
-    if n >= len(table):
-        raise DomainError(f"a_{n} is below the smallest normal float; the last above it is a_{len(table) - 1}")
-    return ChebSeries(table[: n + 1])
+    n, last = _degree(n, 0, "the coefficient count"), len(_COEFFICIENTS) - 1
+    if n > last:
+        raise DomainError(f"a_{n} is below the smallest normal float; the last above it is a_{last}")
+    return ChebSeries(_COEFFICIENTS[: n + 1])
 
 
 def taylor_eval(n: int, x):

@@ -75,12 +75,14 @@ def test_the_bessel_spans_record_calls():
 chebbound.bessel_i(3, 1.0)
 chebbound.build_G_via_reduction(5)
 chebbound.build_G_closed_form(6)
-chebbound.exp_cheb_coefficients(4)
+chebbound.expseries._coefficients()
 """))
+    # the coefficient table is built at import, before a tracer can be
+    # installed; rebuilt here, its sums must show through bessel's namespace
     assert {"bessel.bessel_i<", "bessel.series_sum<bessel.bessel_i",
             "bessel.series_sum<certificate.build_G_via_reduction",
             "bessel.series_sum<certificate.build_G_closed_form",
-            "bessel.series_sum<expseries.partial_sum"} <= calls
+            "bessel.series_sum<"} <= calls
 
 
 def test_the_kernel_spans_record_one_call_per_block():

@@ -87,7 +87,7 @@ class TestCoefficients:
         # and v_151 and v_151 + 2 round to different floats
         monkeypatch.setattr(expseries, "_ZIV_BITS", 0)
         with pytest.raises(ArithmeticError, match="settle"):
-            expseries._coefficients.__wrapped__()
+            expseries._coefficients()
 
 class TestPartialSum:
     def test_degree_one_at_minus_two(self):
