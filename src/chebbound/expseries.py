@@ -65,7 +65,7 @@ def _coefficients() -> tuple[float, ...]:
     """a_0..a_150, the a_k that are normal floats, each correctly rounded.
 
     a_k lies between c v_k and c (v_k + 2) over 2^bits (v_k from _bessel_floors,
-    c = 1 for a_0, else 2): both round alike, to a_k, or neither ever does.
+    c = 1 for a_0, else 2); at every k both round alike, which the locks pin.
     """
     bits = (math.factorial(151) << 151).bit_length() + _ZIV_BITS  # 80 below I_151(1)
     coeffs = []
