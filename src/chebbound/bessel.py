@@ -12,7 +12,11 @@ float in Ziv's manner (A. Ziv, ACM TOMS 17(3), 1991), raising the bits until
 both ends round alike.  That ends because I_n(x) is transcendental at every
 nonzero rational x (C. L. Siegel, 1929), so it is never a float or the
 midpoint of two.  At x = 1, :func:`_bessel_floors` gives every order up to n
-at once, for the coefficients and the certificate polynomials.
+at once.  It runs once, at import, for the table ``_AT_ONE`` of I_0(1) ..
+I_151(1) at ``_AT_ONE_BITS`` = 1149 bits, more than 2^117 times below
+I_151(1); the coefficients and the reduction route of the certificate read
+that table, and :func:`_bits_at_one` gives the bits for the same margin at
+any order.
 
 ``bessel_i`` is defined wherever its result is a float: results below half
 the smallest subnormal are 0.0, subnormal results are correctly rounded too,
@@ -153,6 +157,22 @@ def _bessel_floors(n: int, bits: int) -> list[int]:
     if hi - lo >= 1 << guard:
         raise ArithmeticError(f"the recurrence down from I_{n}(1) spread past its {guard} guard bits")
     return [v >> guard for v in reversed(los)]
+
+
+def _bits_at_one(n: int) -> int:
+    """Fixed-point bits at x = 1 for orders up to n.
+
+    I_n(1) > 1/(2^n n!) > 2^-b, b the bit length of 2^n n!, so 2^-bits lies
+    more than 2^117 times below I_n(1), and below every lower order.
+    """
+    return (math.factorial(n) << n).bit_length() + 117
+
+
+# 2^_AT_ONE_BITS I_k(1) for k = 0..151, each within 2 units below: up to the
+# first order whose coefficient a_151 is below the smallest normal float.
+# Built at import: built amid large arrays, its lists fragmented the heap
+_AT_ONE_BITS = _bits_at_one(151)
+_AT_ONE = tuple(_bessel_floors(151, _AT_ONE_BITS))
 
 
 def _check_order_and_x(n, x) -> tuple[int, float]:

@@ -13,18 +13,23 @@ conditions on the ratio bound 4/(5(N+1)).
 
 Coefficients rest on fixed-point integers scaled by 2^bits.  The closed
 form takes I_N(1) and I_{N+1}(1) as the lower ends of
-:func:`chebbound.bessel.series_sum` at x = 1, the series summed in integers
+:func:`chebbound.bessel.series_sum` at x = 1 and bits =
+:func:`chebbound.bessel._bits_at_one` (N), the series summed in integers
 with every term floored, so each lies below 2^bits I_k(1) by less than
-(terms + 2) units.  The reduction route takes every I_k(1), k = 0..N, from
-:func:`chebbound.bessel._bessel_floors`, two sums and an exact backward
-recurrence, each within 2 units below 2^bits I_k(1).  The closed form runs
-no recurrence and the reduction route no U expansion, so their bit-for-bit
-agreement is a cross-check.  The algebra on top runs exactly on integer
-numerators over 2^bits.  2^-bits is 2^112 or more times smaller than I_N(1),
-the size of the residuals that the reduction route leaves after cancelling
-terms of order one, so the one rounding that shows is the final, correctly
-rounded division of each coefficient by 2^bits.  The decomposition takes its
-Bessel values from the closed form's integers, computed once per degree.
+(terms + 2) units.  The reduction route reads every I_k(1), k = 0..N, from
+the table ``chebbound.bessel._AT_ONE``, built once at import from two sums
+and an exact backward recurrence at 1149 bits, each entry within 2 units
+below 2^1149 I_k(1).
+The closed form runs no recurrence and the reduction route no U expansion,
+so their bit-for-bit agreement is a cross-check.  The algebra on top runs
+exactly on integer numerators over 2^bits.  Both 2^-bits are more than
+2^117 times smaller than I_N(1), the size of the residuals that the
+reduction route leaves after cancelling terms of order one, so the one
+rounding that shows is the final, correctly rounded division of each
+coefficient by 2^bits.  The decomposition takes its Bessel values from the
+closed form's integers, computed once per degree.  The table ends at
+I_151(1), so every builder here refuses N >= 151, where a_N is below the
+smallest normal float, as :func:`chebbound.expseries.partial_sum` does.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bessel import _bessel_floors, bessel_ratio_bound, series_sum
+from .bessel import _AT_ONE, _AT_ONE_BITS, _bits_at_one, bessel_ratio_bound, series_sum
 from .chebpoly import (
     ChebSeries,
     clenshaw_eval,
@@ -43,7 +48,7 @@ from .chebpoly import (
     u_to_t_coeffs,
 )
 from .errors import DomainError, _degree
-from .expseries import partial_sum
+from .expseries import _coefficient_degree, partial_sum
 
 __all__ = [
     "Certificate",
@@ -64,37 +69,32 @@ __all__ = [
 _EXP_ARG_LIMIT = 700.0
 
 
-def _working_bits(n: int) -> int:
-    """Fixed-point bits for G_n: some 35 decimal digits below I_n(1) ~ 1/(2^n n!)."""
-    digits = 35 if n < 2 else 35 + int(0.30103 * n + math.lgamma(n + 1) / math.log(10.0))
-    return math.ceil(digits * math.log2(10))
-
-
 @lru_cache(maxsize=None, typed=True)
 def build_G_via_reduction(n: int) -> ChebSeries:
     """G_n obtained as f_n minus its derivative, both in the T basis.
 
     The exponential cancels between the truncation error and its
     derivative, so the difference is the certificate polynomial itself.
-    The Bessel integers come from :func:`_bessel_floors`; coefficient
-    algebra runs exactly on integer numerators over 2^bits, and
-    each coefficient is rounded to float64 once, on return.
+    The Bessel integers are the first n + 1 of the table
+    ``chebbound.bessel._AT_ONE``, read and not summed again; coefficient
+    algebra runs exactly on integer numerators over 2^1149, and each
+    coefficient is rounded to float64 once, on return.  DomainError from
+    n = 151, where the table ends.
     """
-    n = _degree(n, 0, "build_G_via_reduction")
-    bits = _working_bits(n)
+    n = _coefficient_degree(n, 0, "build_G_via_reduction")
     # 2^bits times a_0 = I_0(1) and a_k = 2 I_k(1)
-    a = [(2 if k else 1) * v for k, v in enumerate(_bessel_floors(n, bits))]
+    a = [(2 if k else 1) * v for k, v in enumerate(_AT_ONE[: n + 1])]
     d = differentiate_coeffs(a)
     g = [a[j] - (d[j] if j < len(d) else 0) for j in range(n)]
     g.append(a[n])
-    return ChebSeries([v / (1 << bits) for v in g])
+    return ChebSeries([v / (1 << _AT_ONE_BITS) for v in g])
 
 
 @lru_cache(maxsize=None)
 def _closed_form_ints(n: int) -> tuple[int, int, int, tuple[int, ...]]:
     """(bits, i_n, i_np1, g): I_n(1), I_{n+1}(1) and the T coefficients of
     I_n(1) U_n + I_{n+1}(1) U_{n-1}, all as integers times 2^bits."""
-    bits = _working_bits(n)
+    bits = _bits_at_one(n)
     i_n, i_np1 = (series_sum(k, 1.0, bits)[0] for k in (n, n + 1))
     un = u_to_t_coeffs(n)
     unm1 = u_to_t_coeffs(n - 1)
@@ -110,7 +110,7 @@ def build_G_closed_form(n: int) -> ChebSeries:
     exact integer U-to-T expansions, so the only rounding is the final,
     correctly rounded division of each coefficient by 2^bits.
     """
-    n = _degree(n, 0, "build_G_closed_form")
+    n = _coefficient_degree(n, 0, "build_G_closed_form")
     bits, _, _, g = _closed_form_ints(n)
     return ChebSeries([v / (1 << bits) for v in g])
 
@@ -125,7 +125,7 @@ def decomposition_poly(n: int) -> ChebSeries:
     :func:`decomposition_terms` is an exact identity for this variant, not
     for G_n itself.
     """
-    n = _degree(n, 1, "decomposition_poly")
+    n = _coefficient_degree(n, 1, "decomposition_poly")
     bits, i_n, _, g = _closed_form_ints(n)
     c = [v - i_n if j in (0, n) else v for j, v in enumerate(g)]
     return ChebSeries([v / (1 << bits) for v in c])
@@ -174,7 +174,7 @@ def _decomposition_params(n: int, r: float):
 
 def decomposition_quadratics(n: int) -> tuple[QuadraticInE, ...]:
     """The five quadratics in e^t underlying the pieces A..E at degree n."""
-    n = _degree(n, 1, "the decomposition")
+    n = _coefficient_degree(n, 1, "the decomposition")
     _, i_n, i_np1, _ = _closed_form_ints(n)
     r = i_np1 / i_n
     a, b, c, d = _decomposition_params(n, r)
@@ -210,7 +210,7 @@ def decomposition_terms(n: int, t: float) -> tuple[float, float, float, float, f
 
 def _validate_decomposition_args(n: int, t: float) -> int:
     """n as an int, once n and t are checked."""
-    n = _degree(n, 1, "the decomposition")
+    n = _coefficient_degree(n, 1, "the decomposition")
     if not t > 0:
         raise DomainError("the decomposition needs t > 0")
     if t < 1e-6:
@@ -313,7 +313,7 @@ def grid_sign_scan(n: int, x_min: float, points: int) -> bool:
     strictly positive everywhere.  Raises DomainError when G_n leaves the
     float range on the grid, where its sign could no longer be read.
     """
-    n = _degree(n, 1, "grid_sign_scan")
+    n = _coefficient_degree(n, 1, "grid_sign_scan")
     if not -math.inf < x_min < -1.0:
         raise DomainError("grid_sign_scan needs a finite x_min < -1")
     points = _degree(points, 10, "grid_sign_scan's point count")

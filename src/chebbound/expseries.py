@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
-from .bessel import _ZIV_BITS, _bessel_floors
+from .bessel import _AT_ONE, _AT_ONE_BITS
 from .chebpoly import ChebSeries, clenshaw_eval
 from .errors import DomainError, _degree
 
@@ -64,22 +64,34 @@ class Enclosure:
 def _coefficients() -> tuple[float, ...]:
     """a_0..a_150, the a_k that are normal floats, each correctly rounded.
 
-    a_k lies between c v_k and c (v_k + 2) over 2^bits (v_k from _bessel_floors,
-    c = 1 for a_0, else 2); at every k both round alike, which the locks pin.
+    a_k lies between c v_k and c (v_k + 2) over 2^bits (v_k from the table
+    ``bessel._AT_ONE``, c = 1 for a_0, else 2); at every k both round alike,
+    which the locks pin.
     """
-    bits = (math.factorial(151) << 151).bit_length() + _ZIV_BITS  # 80 below I_151(1)
     coeffs = []
-    for k, v in enumerate(_bessel_floors(151, bits)):
+    for k, v in enumerate(_AT_ONE):
         c = 2 if k else 1
-        a = c * v / (1 << bits)
-        if a != c * (v + 2) / (1 << bits):
-            raise ArithmeticError(f"a_{k} does not settle at {bits} bits")
+        a = c * v / (1 << _AT_ONE_BITS)
+        if a != c * (v + 2) / (1 << _AT_ONE_BITS):
+            raise ArithmeticError(f"a_{k} does not settle at {_AT_ONE_BITS} bits")
         if a >= sys.float_info.min:  # the a_k fall with k, so these are a prefix
             coeffs.append(a)
     return tuple(coeffs)
 
 
 _COEFFICIENTS = _coefficients()  # at import: built amid large arrays, it fragmented the heap
+
+
+def _coefficient_degree(n, least: int, name: str) -> int:
+    """n as an int, once it is checked to be >= least and to have a normal a_n.
+
+    The one degree limit for everything built from the coefficients or from
+    the table of I_k(1) under them: a DomainError from n = 151.
+    """
+    n, last = _degree(n, least, name), len(_COEFFICIENTS) - 1
+    if n > last:
+        raise DomainError(f"a_{n} is below the smallest normal float; the last above it is a_{last}")
+    return n
 
 
 def exp_cheb_coefficients(n: int):
@@ -104,9 +116,7 @@ def partial_sum(n: int) -> ChebSeries:
 
     One series per degree, shared by every caller; DomainError from n = 151.
     """
-    n, last = _degree(n, 0, "the coefficient count"), len(_COEFFICIENTS) - 1
-    if n > last:
-        raise DomainError(f"a_{n} is below the smallest normal float; the last above it is a_{last}")
+    n = _coefficient_degree(n, 0, "the coefficient count")
     return ChebSeries(_COEFFICIENTS[: n + 1])
 
 

@@ -14,7 +14,7 @@ from chebbound import (
     bessel_ratio_bound,
     recurrence_residual,
 )
-from chebbound import bessel, certificate
+from chebbound import bessel
 from chebbound.bessel import series_sum
 
 # frozen from the factorial-series oracle at 80 digits
@@ -146,9 +146,10 @@ class TestBesselFloors:
     """The integers under the coefficients and build_G_via_reduction: two
     series sums and a backward recurrence."""
 
-    @pytest.mark.parametrize("n", (0, 1, 2, 16, 64, 128, 149))
+    # n = 151 at its bits is the import-time table's own call
+    @pytest.mark.parametrize("n", (0, 1, 2, 16, 64, 128, 149, 151))
     def test_each_lies_within_two_units_below_the_scaled_value(self, n):
-        bits = certificate._working_bits(n)
+        bits = bessel._bits_at_one(n)
         floors = bessel._bessel_floors(n, bits)
         assert len(floors) == n + 1
         # 80 digits cannot resolve a unit of 2^bits I_0(1) once bits passes
@@ -170,7 +171,11 @@ class TestBesselFloors:
 
         monkeypatch.setattr(bessel, "series_sum", wide)
         with pytest.raises(ArithmeticError, match="guard"):
-            bessel._bessel_floors(8, certificate._working_bits(8))
+            bessel._bessel_floors(8, bessel._bits_at_one(8))
+
+    def test_the_table_at_one_is_the_one_call_at_its_bits(self):
+        assert bessel._AT_ONE_BITS == bessel._bits_at_one(151) == 1149
+        assert bessel._AT_ONE == tuple(bessel._bessel_floors(151, bessel._AT_ONE_BITS))
 
 
 class TestEnclosure:

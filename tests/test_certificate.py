@@ -77,7 +77,7 @@ class TestBuilders:
     def test_odd_degree_negative_below_minus_one(self):
         assert clenshaw_eval(build_G_closed_form(1), -2.0) < 0.0
 
-    @pytest.mark.parametrize("n", range(0, 150))
+    @pytest.mark.parametrize("n", range(0, 151))
     def test_cross_construction_coefficients(self, n):
         # both routes round the same exact coefficients once, so they agree bit for bit
         assert build_G_via_reduction(n).coeffs.tolist() == build_G_closed_form(n).coeffs.tolist()
@@ -139,6 +139,41 @@ class TestBuilders:
     @pytest.mark.parametrize("build", (build_G_via_reduction, build_G_closed_form, decomposition_poly))
     def test_accepts_a_numpy_integer_degree(self, build):
         assert build(np.int64(5)).values == build(5).values
+
+    def test_the_reduction_route_reads_the_table_and_sums_nothing(self, monkeypatch):
+        calls = []
+        real = bessel.series_sum
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bessel, "series_sum", counted)
+        monkeypatch.setattr(certificate, "series_sum", counted)
+        for n in (0, 1, 64, 150):
+            assert build_G_via_reduction.__wrapped__(n).values == build_G_via_reduction(n).values
+        assert calls == []
+
+
+# past a_150, the last normal coefficient, the table under the reduction
+# route ends; G_157 once rounded to all zeros and its scan read False, and
+# decomposition_check(157, 0.5) divided by zero
+@pytest.mark.parametrize("n", (151, 157))
+@pytest.mark.parametrize(
+    "call",
+    (
+        build_G_via_reduction,
+        build_G_closed_form,
+        decomposition_poly,
+        decomposition_quadratics,
+        lambda n: decomposition_check(n, 0.5),
+        lambda n: decomposition_terms(n, 0.5),
+        lambda n: grid_sign_scan(n, -2.0, 10),
+    ),
+)
+def test_past_the_last_normal_coefficient_is_a_domain_error(call, n):
+    with pytest.raises(DomainError, match=f"a_{n} is below the smallest normal float; the last above it is a_150$"):
+        call(n)
 
 
 class TestReductionIdentity:

@@ -20,7 +20,7 @@ from chebbound import (
     taylor_eval,
     taylor_sandwich,
 )
-from chebbound import expseries
+from chebbound import bessel, expseries
 
 # frozen from the 80-digit oracle
 A_FIRST_THREE = (1.2660658777520084, 1.1303182079849703, 0.27149533953407656)
@@ -81,7 +81,9 @@ class TestCoefficients:
     def test_a_table_whose_ends_round_apart_is_refused(self, monkeypatch):
         # without the bits below I_151(1) its integer is a few units wide,
         # and v_151 and v_151 + 2 round to different floats
-        monkeypatch.setattr(expseries, "_ZIV_BITS", 0)
+        bits = bessel._AT_ONE_BITS - 117
+        monkeypatch.setattr(expseries, "_AT_ONE", tuple(bessel._bessel_floors(151, bits)))
+        monkeypatch.setattr(expseries, "_AT_ONE_BITS", bits)
         with pytest.raises(ArithmeticError, match="settle"):
             expseries._coefficients()
 
