@@ -12,11 +12,8 @@ float in Ziv's manner (A. Ziv, ACM TOMS 17(3), 1991), raising the bits until
 both ends round alike.  That ends because I_n(x) is transcendental at every
 nonzero rational x (C. L. Siegel, 1929), so it is never a float or the
 midpoint of two.  At x = 1, :func:`_bessel_floors` gives every order up to n
-at once.  It runs once, at import, for the table ``_AT_ONE`` of I_0(1) ..
-I_151(1) at ``_AT_ONE_BITS`` = 1149 bits, more than 2^117 times below
-I_151(1); the coefficients and the reduction route of the certificate read
-that table, and :func:`_bits_at_one` gives the bits for the same margin at
-any order.
+at once; its one call, at import, makes the table ``_AT_ONE`` of I_0(1) ..
+I_151(1) that the coefficients and the certificate read.
 
 ``bessel_i`` is defined wherever its result is a float: results below half
 the smallest subnormal are 0.0, subnormal results are correctly rounded too,
