@@ -63,8 +63,8 @@ def clenshaw_kernel(coeffs, xs, work=None):
         # 2.0 * xs * b1 is (2.0 * xs) * b1, so hoisting 2x keeps every bit
         x2 = 2.0 * xs
         b1 = b2 = 0.0
-        for k in range(len(coeffs) - 1, 0, -1):
-            b1, b2 = x2 * b1 + coeffs[k] - b2, b1
+        for c in coeffs[:0:-1]:
+            b1, b2 = x2 * b1 + c - b2, b1
         return xs * b1 + coeffs[0] - b2
     import numpy as np
 
@@ -74,9 +74,9 @@ def clenshaw_kernel(coeffs, xs, work=None):
     # zeros give the bits of the operator form's scalar 0.0 start
     b1.fill(0.0)
     b2.fill(0.0)
-    for k in range(len(coeffs) - 1, 0, -1):
+    for c in coeffs[:0:-1]:
         multiply(x2, b1, t)
-        add(t, coeffs[k], t)
+        add(t, c, t)
         subtract(t, b2, t)
         b1, b2, t = t, b1, b2
     multiply(xs, b1, t)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, _degree
@@ -49,18 +49,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed real interval [lo, hi] with finite endpoints."""
+class Interval(namedtuple("Interval", "lo hi")):
+    """Closed real interval [lo, hi] with finite endpoints, as an immutable named tuple."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    def __new__(cls, lo, hi):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("interval endpoints must be finite")
-        if self.lo > self.hi:
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def width(self) -> float:

@@ -35,8 +35,7 @@ smallest normal float, as :func:`chebbound.expseries.partial_sum` does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from .bessel import _AT_ONE, _AT_ONE_BITS, _bits_at_one, bessel_ratio_bound, series_sum
@@ -147,13 +146,10 @@ def reduction_identity_residual(n: int, x: float) -> float:
     return abs((fv - fpv) - gv) / scale
 
 
-@dataclass(frozen=True)
-class QuadraticInE:
-    """Quadratic a2 u^2 + a1 u + a0 in the variable u = e^t."""
+class QuadraticInE(namedtuple("QuadraticInE", "a2 a1 a0")):
+    """Quadratic a2 u^2 + a1 u + a0 in the variable u = e^t, as a named tuple."""
 
-    a2: float
-    a1: float
-    a0: float
+    __slots__ = ()
 
     def __call__(self, u: float) -> float:
         return (self.a2 * u + self.a1) * u + self.a0
@@ -244,16 +240,14 @@ def decomposition_check(n: int, t: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Accept/reject record for the sign conditions at one degree."""
+class Certificate(namedtuple("Certificate", "n ratio_bound cond_unit_quadratic "
+                                           "cond_shifted_quadratic cond_leading_positive verdict")):
+    """Accept/reject record for the sign conditions at one degree, as a named tuple.
 
-    n: int
-    ratio_bound: Fraction
-    cond_unit_quadratic: bool
-    cond_shifted_quadratic: bool
-    cond_leading_positive: bool
-    verdict: str
+    ``ratio_bound`` is a Fraction; the three conditions are bools.
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

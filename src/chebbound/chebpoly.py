@@ -19,7 +19,7 @@ float64 ndarray of its shape, with the same bits at each point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from . import _kernels
@@ -28,20 +28,17 @@ from .errors import _degree
 __all__ = ["ChebSeries", "eval_T", "eval_U", "clenshaw_eval", "differentiate", "u_to_t"]
 
 
-@dataclass(frozen=True, init=False)
-class ChebSeries:
+class ChebSeries(namedtuple("ChebSeries", "values")):
     """Polynomial sum_j coeffs[j] * T_j given by its T-basis coefficients.
 
     The coefficients are stored as ``values``, a tuple of degree + 1 Python
     floats, which the evaluators read; series compare and hash by it.
     ``coeffs`` is a read-only float64 ndarray of the same bits, built on
     first use, so a series made and evaluated at float points needs no
-    numpy.
+    numpy.  A series is a named tuple of its one field, and immutable.
     """
 
-    values: tuple[float, ...]
-
-    def __init__(self, coeffs):
+    def __new__(cls, coeffs):
         # an array of another rank would give rows, and a string characters
         if isinstance(coeffs, str) or getattr(coeffs, "ndim", 1) != 1:
             raise ValueError("a series needs at least one coefficient")
@@ -53,7 +50,19 @@ class ChebSeries:
             raise ValueError("a series needs at least one coefficient")
         if not all(map(math.isfinite, values)):
             raise ValueError("series coefficients must be finite")
-        object.__setattr__(self, "values", values)
+        return tuple.__new__(cls, (values,))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        # the instance dict holds only the cached ``coeffs``
+        raise AttributeError(f"cannot assign to ChebSeries.{name}")
+
+    def __reduce__(self):
+        # rebuilt from ``values``, so a copy's ``coeffs`` is read-only too
+        return ChebSeries, (self.values,)
 
     @property
     def degree(self) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import _kernels
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(namedtuple("Enclosure", "x lower upper lower_degree upper_degree")):
     """A two-sided bracket of exp at a single point.
 
     ``lower`` and ``upper`` are the float64 values of the degree
@@ -47,18 +46,20 @@ class Enclosure:
     exp(x): ``cheb_sandwich(32, -5.45393)`` gives lower = upper =
     0.004279453347895784, above exp(x) = 0.0042794533478953356...  Where
     the polynomials overflow both are NaN, as at ``cheb_sandwich(8,
-    -1e200)``.
+    -1e200)``.  An enclosure is an immutable named tuple of these five
+    fields.
     """
 
-    x: float
-    lower: float
-    upper: float
-    lower_degree: int
-    upper_degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lower_degree != self.upper_degree - 1:
+    def __new__(cls, x, lower, upper, lower_degree, upper_degree):
+        if lower_degree != upper_degree - 1:
             raise ValueError("degree pairing must be (2N-1, 2N)")
+        return tuple.__new__(cls, (x, lower, upper, lower_degree, upper_degree))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _coefficients() -> tuple[float, ...]:

@@ -449,6 +449,23 @@ print(repr({FLOAT_CALLS}))
     assert proc.stdout == repr(eval(FLOAT_CALLS)) + "\n"
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # without site (-S), with the package's own path; the modules loaded
+    # before the import are taken out, so a module that the interpreter
+    # loads at start-up neither counts nor hides one that the import loads
+    script = f"""
+import sys
+sys.path.insert(0, {os.path.dirname(os.path.dirname(cb.__file__))!r})
+watched, before = {{"dataclasses", "inspect"}}, set(sys.modules)
+import chebbound
+print(sorted(watched & before), sorted(watched & (set(sys.modules) - before)))
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # neither loaded before the import, and neither loaded by it
+    assert proc.stdout == "[] []\n"
+
+
 # array calls on series first made and evaluated at float points
 ARRAY_CALLS = """
 import hashlib
