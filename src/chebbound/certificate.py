@@ -8,8 +8,9 @@ whose sign on (-inf, -1) is (-1)^N.  This module builds G_N along two
 independent algebraic routes (series-minus-derivative, and the compact U
 form) and checks them against each other, evaluates the five-part
 quadratic-in-e^t decomposition that exhibits the sign, and issues a
-per-degree accept/reject certificate from three exact rational discriminant
-conditions on the ratio bound 4/(5(N+1)).
+per-degree accept/reject certificate from three discriminant conditions on
+the ratio bound 4/(5(N+1)), decided exactly in integers scaled by the
+square of its denominator.
 
 Coefficients rest on fixed-point integers scaled by 2^bits.  The closed
 form takes I_N(1) and I_{N+1}(1) as the lower ends of
@@ -80,7 +81,9 @@ def build_G_via_reduction(n: int) -> ChebSeries:
     coefficient is rounded to float64 once, on return.  DomainError from
     n = 151, where the table ends.
     """
-    n = _coefficient_degree(n, 0, "build_G_via_reduction")
+    m = _coefficient_degree(n, 0, "build_G_via_reduction")
+    if m is not n:
+        return build_G_via_reduction(m)
     # 2^bits times a_0 = I_0(1) and a_k = 2 I_k(1)
     a = [(2 if k else 1) * v for k, v in enumerate(_AT_ONE[: n + 1])]
     d = differentiate_coeffs(a)
@@ -109,7 +112,9 @@ def build_G_closed_form(n: int) -> ChebSeries:
     exact integer U-to-T expansions, so the only rounding is the final,
     correctly rounded division of each coefficient by 2^bits.
     """
-    n = _coefficient_degree(n, 0, "build_G_closed_form")
+    m = _coefficient_degree(n, 0, "build_G_closed_form")
+    if m is not n:
+        return build_G_closed_form(m)
     bits, _, _, g = _closed_form_ints(n)
     return ChebSeries([v / (1 << bits) for v in g])
 
@@ -124,7 +129,9 @@ def decomposition_poly(n: int) -> ChebSeries:
     :func:`decomposition_terms` is an exact identity for this variant, not
     for G_n itself.
     """
-    n = _coefficient_degree(n, 1, "decomposition_poly")
+    m = _coefficient_degree(n, 1, "decomposition_poly")
+    if m is not n:
+        return decomposition_poly(m)
     bits, i_n, _, g = _closed_form_ints(n)
     c = [v - i_n if j in (0, n) else v for j, v in enumerate(g)]
     return ChebSeries([v / (1 << bits) for v in c])
@@ -264,20 +271,23 @@ class Certificate(namedtuple("Certificate", "n ratio_bound cond_unit_quadratic "
 
 
 def sign_certificate(n: int) -> Certificate:
-    """Check the three discriminant conditions at degree n in exact rationals.
+    """Check the three discriminant conditions at degree n exactly.
 
     With rb = 4/(5(n+1)) the conditions are 4 rb^2 - 4 < 0,
     4 rb^2 - 4(1 - 2 rb) < 0 and 1 - 2 rb > 0; together they make every
     piece of the decomposition nonnegative for t > 0, certifying that
     (-1)^n G_n > 0 on (-inf, -1) and hence the bracket at this degree.
-    Arithmetic is exact (fractions), independent of any floating-point
+    Arithmetic is exact: with rb = p/q, each condition is decided on
+    integers after scaling by q^2 > 0, independent of any floating-point
     Bessel evaluation.
     """
     n = _degree(n, 1, "sign_certificate")
     rb = bessel_ratio_bound(n, 1.0, specialize=True)
-    cond_unit = 4 * rb * rb - 4 < 0
-    cond_shifted = 4 * rb * rb - 4 * (1 - 2 * rb) < 0
-    cond_leading = 1 - 2 * rb > 0
+    # rb^2 < 1, rb^2 + 2 rb < 1 and 2 rb < 1, each times q^2 (q for the last)
+    p, q = rb.numerator, rb.denominator
+    cond_unit = p * p < q * q
+    cond_shifted = p * p + 2 * p * q < q * q
+    cond_leading = 2 * p < q
     accepted = cond_unit and cond_shifted and cond_leading
     return Certificate(
         n=n,
@@ -315,6 +325,9 @@ def grid_sign_scan(n: int, x_min: float, points: int) -> bool:
 
     with np.errstate(over="ignore", invalid="ignore"):
         vals = clenshaw_eval(build_G_via_reduction(n), _scan_grid(x_min, points))
-    if not np.all(np.isfinite(vals)):
+        # a NaN anywhere propagates into both
+        lo, hi = float(vals.min()), float(vals.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"G_{n} leaves the float range on [{x_min!r}, -1)")
-    return bool(np.all((-1) ** n * vals > 0.0))
+    # (-1)^n G_n > 0 at every point
+    return hi < 0.0 if n % 2 else lo > 0.0

@@ -115,9 +115,13 @@ def exp_cheb_coefficients(n: int):
 def partial_sum(n: int) -> ChebSeries:
     """The degree-n truncation f_n = sum_{k<=n} a_k T_k as a T-basis series.
 
-    One series per degree, shared by every caller; DomainError from n = 151.
+    One series per degree, shared by every caller, whatever the integer
+    type of n; DomainError from n = 151.
     """
-    n = _coefficient_degree(n, 0, "the coefficient count")
+    m = _coefficient_degree(n, 0, "the coefficient count")
+    if m is not n:
+        # a numpy integer takes the series cached for the equal int
+        return partial_sum(m)
     return ChebSeries(_COEFFICIENTS[: n + 1])
 
 

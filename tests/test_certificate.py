@@ -9,6 +9,7 @@ from mpmath import mp
 
 import oracles
 from chebbound import (
+    ChebSeries,
     DomainError,
     bessel_i,
     build_G_closed_form,
@@ -329,6 +330,40 @@ class TestSignCertificate:
     def test_completeness(self, n):
         assert sign_certificate(n).verdict == "accepted"
 
+    @pytest.mark.parametrize("first", range(1, 2001, 200))
+    def test_the_integer_checks_match_the_rational_inequalities(self, first):
+        for n in range(first, first + 200):
+            cert = sign_certificate(n)
+            rb = Fraction(4, 5 * (n + 1))
+            assert cert.ratio_bound == rb
+            assert cert.cond_unit_quadratic is (4 * rb * rb - 4 < 0)
+            assert cert.cond_shifted_quadratic is (4 * rb * rb - 4 * (1 - 2 * rb) < 0)
+            assert cert.cond_leading_positive is (1 - 2 * rb > 0)
+
+    @pytest.mark.parametrize(
+        "rb, failing",
+        (
+            (Fraction(1), ("unit", "shifted", "leading")),
+            (Fraction(1, 2), ("shifted", "leading")),
+            (Fraction(9, 20), ("shifted",)),
+            # the shifted condition holds exactly for rb < sqrt(2) - 1
+            (Fraction(41421, 100000), ()),
+            (Fraction(41422, 100000), ("shifted",)),
+        ),
+    )
+    def test_a_larger_ratio_bound_fails_its_conditions(self, monkeypatch, rb, failing):
+        monkeypatch.setattr(certificate, "bessel_ratio_bound", lambda n, x, specialize=False: rb)
+        cert = sign_certificate(5)
+        conds = {
+            "unit": cert.cond_unit_quadratic,
+            "shifted": cert.cond_shifted_quadratic,
+            "leading": cert.cond_leading_positive,
+        }
+        assert all(type(v) is bool for v in conds.values())
+        assert sorted(k for k, v in conds.items() if not v) == sorted(failing)
+        assert cert.ratio_bound is rb
+        assert cert.verdict == ("rejected" if failing else "accepted")
+
     def test_json_schema(self):
         payload = sign_certificate(3).to_json_dict()
         assert json.loads(json.dumps(payload)) == payload
@@ -385,6 +420,49 @@ class TestGridSignScan:
     def test_a_grid_longer_than_a_kernel_block(self):
         # the blocked kernels read the shared grid and write only their own buffers
         assert grid_sign_scan(5, -100.0, 2 * 32768 + 1) is True
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_a_series_that_crosses_zero_fails(self, monkeypatch, n):
+        # (-1)^n (x + 5) changes sign at -5
+        s = (-1) ** n
+        monkeypatch.setattr(certificate, "build_G_via_reduction", lambda k: ChebSeries([5.0 * s, 1.0 * s]))
+        assert grid_sign_scan(n, -100.0, 500) is False
+
+    @pytest.mark.parametrize("zero", (0.0, -0.0))
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_a_series_that_is_zero_at_a_grid_point_fails(self, monkeypatch, n, zero):
+        # (-1)^n (x + 100)(4x^2 - 2) keeps the sign law on (-100, -1) and is
+        # zero at the first grid point, x = -100, with the sign bit of its
+        # constant coefficient there
+        s = (-1) ** n
+        series = ChebSeries([zero, 1.0 * s, 200.0 * s, 1.0 * s])
+        assert certificate._scan_grid(-100.0, 500)[0] == -100.0
+        at_left = clenshaw_eval(series, -100.0)
+        assert at_left == 0.0 and math.copysign(1.0, at_left) == math.copysign(1.0, zero)
+        assert s * clenshaw_eval(series, -99.0) > 0.0 and s * clenshaw_eval(series, -1.5) > 0.0
+        monkeypatch.setattr(certificate, "build_G_via_reduction", lambda k: series)
+        assert grid_sign_scan(n, -100.0, 500) is False
+
+    @pytest.mark.parametrize(
+        "coeffs, value",
+        (
+            ([0.0, 0.0, 1e305], math.inf),
+            ([0.0, 0.0, -1e305], -math.inf),
+            # the last Clenshaw step meets inf - inf
+            ([0.0, 0.0, 0.0, 1e307], math.nan),
+        ),
+    )
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_a_series_past_the_float_range_is_a_domain_error(self, monkeypatch, n, coeffs, value):
+        # nonfinite at the left end of the grid only, finite near -1
+        series = ChebSeries(coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_left = clenshaw_eval(series, -100.0)
+        assert at_left == value or (math.isnan(value) and math.isnan(at_left))
+        assert math.isfinite(clenshaw_eval(series, -1.5))
+        monkeypatch.setattr(certificate, "build_G_via_reduction", lambda k: series)
+        with pytest.raises(DomainError, match="float range"):
+            grid_sign_scan(n, -100.0, 500)
 
     @pytest.mark.parametrize("x_min", (-math.inf, math.nan))
     def test_a_non_finite_left_end_is_a_domain_error(self, x_min):

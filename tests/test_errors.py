@@ -44,6 +44,20 @@ def test_a_degree_is_an_integer_at_or_above_its_least(name):
         assert repr(n) in str(info.value)
 
 
+@pytest.mark.parametrize("int_type", (np.int64, np.int32))
+@pytest.mark.parametrize(
+    "build", (cb.partial_sum, cb.build_G_via_reduction, cb.build_G_closed_form, cb.decomposition_poly)
+)
+def test_a_numpy_integer_degree_shares_the_cached_series(build, int_type):
+    # one series per degree: a numpy integer gets the object of the equal
+    # int, whichever is asked first
+    assert build(int_type(9)) is build(9)
+    assert build(11) is build(int_type(11))
+    # the caches stay typed, so the equal float is still refused
+    with pytest.raises(DomainError, match="integer"):
+        build(9.0)
+
+
 def test_the_rule_loads_no_numpy():
     script = """
 import sys
