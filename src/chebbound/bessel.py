@@ -26,8 +26,9 @@ Alongside the point values the module provides the two-sided enclosure
     (x/2)^n / n!  <  I_n(x)  <  cosh(x) (x/2)^n / n!      (x > 0),
 
 rounded outward to floats, and the ratio estimate
-I_{n+1}(x)/I_n(x) <= cosh(x) x / (2(n+1)), which specialises at x = 1 to
-the exact rational 4/(5(n+1)).
+I_{n+1}(x)/I_n(x) <= cosh(x) x / (2(n+1)), rounded up to a float, which
+specialises at x = 1 to the exact rational 4/(5(n+1)).  Every one of these
+floats is an exact ratio of integers rounded once, by :func:`_ratio_to_float`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ import itertools
 import math
 import sys
 from collections import namedtuple
+# only the specialized ratio bound needs Fraction, but neither numpy nor
+# mpmath imports fractions, so a lazy import would put its few milliseconds
+# into the first certificate a process builds
 from fractions import Fraction
 
 from .errors import DomainError, _degree
@@ -75,15 +79,8 @@ class Interval(namedtuple("Interval", "lo hi")):
         return self.lo <= value <= self.hi
 
 
-# the float range; the last x at which math.cosh does not overflow; and
-# math.cosh taken as within 2 ulps of cosh(x), with a margin of 4 ulps
-# (2^-50 relative) on the upper end
-_FLOAT_MAX = Fraction(sys.float_info.max)
+# the last x at which math.cosh does not overflow
 _COSH_X_MAX = 710.4758600739439
-_COSH_MARGIN = 1 + Fraction(1, 2**50)
-# from 2^1024 - 2^970, halfway between the largest float and 2^1024, a real
-# rounds to inf
-_ROUNDS_TO_INF = 2**1024 - 2**970
 # bits below the leading term that bessel_i starts from, and adds per round
 _ZIV_BITS = 80
 
@@ -130,6 +127,26 @@ def series_sum(n: int, x: float, bits: int) -> tuple[int, int]:
     d = d2 * (m + 1) * (m + 1 + n)
     a = m * (m + 1) // 2 - (m + 1) * d // (mult - d)  # -(y // -z) is ceil(y / z)
     return total, total + 2 * a + 2 * m * ((total >> first.bit_length() - 1) + 1)
+
+
+def _ratio_to_float(num: int, den: int, side: int = 0) -> float:
+    """num/den, for integers num >= 0 and den > 0, rounded to a float.
+
+    ``side`` 0 rounds to nearest, 1 to the nearest float at or above num/den
+    and -1 to the nearest at or below.  A ratio past the float range gives
+    inf, or the largest float when rounding down.
+    """
+    try:
+        # correctly rounded; from 2^1024 - 2^970, halfway between the largest
+        # float and 2^1024, it raises instead of giving inf
+        f = num / den
+    except OverflowError:
+        return sys.float_info.max if side < 0 else math.inf
+    if side:
+        p, q = f.as_integer_ratio()
+        if (p * den - num * q) * side < 0:
+            f = math.nextafter(f, side * math.inf)
+    return f
 
 
 def _bessel_floors(n: int, bits: int) -> list[int]:
@@ -231,18 +248,11 @@ def bessel_i(n: int, x: float) -> float:
         raise overflow
     for bits in itertools.count(max(0, _ZIV_BITS + 2 - e), _ZIV_BITS):
         lo, hi = series_sum(n, x, bits)
-        if lo >= _ROUNDS_TO_INF << bits:
+        value = _ratio_to_float(lo, 1 << bits)
+        if value == math.inf:
             raise overflow
-        if hi < _ROUNDS_TO_INF << bits and lo / (1 << bits) == hi / (1 << bits):
-            return lo / (1 << bits)
-
-
-def _float_toward(q: Fraction, up: bool) -> float:
-    """The float nearest to q on its upper (or lower) side; q is in the float range."""
-    f = float(q)
-    if f < q if up else f > q:
-        f = math.nextafter(f, math.inf if up else -math.inf)
-    return f
+        if value == _ratio_to_float(hi, 1 << bits):
+            return value
 
 
 def bessel_i_enclosure(n: int, x: float) -> Interval:
@@ -265,28 +275,49 @@ def bessel_i_enclosure(n: int, x: float) -> Interval:
     overflow = DomainError(f"the enclosure of I_{n}({x!r}) exceeds the float range")
     if not x <= _COSH_X_MAX:
         raise overflow
+    # (x/2)^n/n! = m 2^e (1 + d) with |d| <= 4n 2^-53, so the ends over
+    # 2^(106-e) are int(m 2^53) (2^53 -/+ 4n); the upper end takes math.cosh(x),
+    # within 2 ulps of cosh(x), times a margin of 4 ulps, (2^50 + 1)/2^50
     m, e = _leading_term_frexp(n, x)
-    value, rel = Fraction(m) * Fraction(2) ** e, Fraction(4 * n, 2**53)
-    lo, hi = value * (1 - rel), value * (1 + rel) * Fraction(math.cosh(x)) * _COSH_MARGIN
-    if hi > _FLOAT_MAX:
+    c, d = math.cosh(x).as_integer_ratio()
+    mant, scale = int(m * 2**53), 106 - e
+    lo = mant * ((1 << 53) - 4 * n)
+    hi = mant * ((1 << 53) + 4 * n) * c * ((1 << 50) + 1)
+    if scale < 0:
+        lo, hi, scale = lo << -scale, hi << -scale, 0
+    upper = _ratio_to_float(hi, d << 50 + scale, 1)
+    if upper == math.inf:
         raise overflow
-    return Interval(_float_toward(lo, up=False), _float_toward(hi, up=True))
+    return Interval(_ratio_to_float(lo, 1 << scale, -1), upper)
 
 
 def bessel_ratio_bound(n: int, x: float, specialize: bool = False):
     """Upper bound on the ratio I_{n+1}(x)/I_n(x).
 
-    The generic bound is cosh(x) x / (2(n+1)).  With ``specialize=True`` the
-    argument must be exactly 1 and the sharper closed form is returned as the
-    exact rational Fraction(4, 5(n+1)); comparisons of floats against a
-    Fraction are exact, which keeps downstream checks rigorous.
+    The generic bound is cosh(x) x / (2(n+1)), taken exactly with the float
+    math.cosh(x) and rounded up to a float.  It holds whatever the rounding
+    of math.cosh, which is at least 1: term by term I_{n+1}(x) < x/(2(n+1))
+    I_n(x).  With ``specialize=True`` the argument must be exactly 1 and the
+    sharper closed form is returned as the exact rational Fraction(4,
+    5(n+1)); comparisons of floats against a Fraction are exact, which keeps
+    downstream checks rigorous.
+
+    Raises
+    ------
+    DomainError
+        If n is not a non-negative integer or x <= 0, if the bound exceeds
+        the largest float, or if x is past 710.4758600739439, where
+        math.cosh overflows.
     """
     n, x = _check_order_and_x(n, x)
     if specialize:
         if x != 1.0:
             raise DomainError("the specialized ratio bound is defined at x = 1 only")
         return Fraction(4, 5 * (n + 1))
-    bound = math.cosh(x) * x / (2.0 * (n + 1)) if x <= _COSH_X_MAX else math.inf
+    bound = math.inf
+    if x <= _COSH_X_MAX:
+        (c, d), (p, q) = math.cosh(x).as_integer_ratio(), x.as_integer_ratio()
+        bound = _ratio_to_float(c * p, 2 * (n + 1) * d * q, 1)
     if bound == math.inf:
         raise DomainError(f"the ratio bound at ({n}, {x!r}) exceeds the float range")
     return bound

@@ -185,10 +185,17 @@ def endpoint_gap(n: int) -> float:
 
 
 def sup_error_comparison(n: int, grid_points: int) -> tuple[float, float]:
-    """Sup-norm errors of f_n and the degree-n Maclaurin sum on [-1, 1].
+    """Float64 grid estimates of the sup-norm errors of f_n and the degree-n Maclaurin sum on [-1, 1].
 
-    Both maxima are taken over a uniform grid of ``grid_points`` points; the
-    Chebyshev error never exceeds the Maclaurin error.
+    Each is the largest |float value - np.exp| over a uniform grid of
+    ``grid_points`` points, so it measures the float evaluation as well as
+    the truncation.  Once the truncation error nears float64 rounding the
+    rounding wins: from n = 14 the Chebyshev figure is rounding noise
+    (8.9e-16, where the exact sup is 4.9e-17), and from n = 17 it reads at
+    or above the Maclaurin figure (8.9e-16 against 4.4e-16), although the
+    exact Chebyshev error is the smaller at every n >= 1 (3.3e-23 against
+    8.7e-18 at n = 18).  The exact sups, both reached at x = 1, are the
+    subject of "An exact compare" in ROADMAP.md.
     """
     n = _degree(n, 0, "sup_error_comparison")
     grid_points = _degree(grid_points, 100, "the grid's point count")

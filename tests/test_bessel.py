@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -265,6 +268,165 @@ class TestRatioBound:
     def test_past_the_float_range_is_a_domain_error(self, x):
         with pytest.raises(DomainError, match="float range"):
             bessel_ratio_bound(0, x)
+
+
+class TestRatioBoundRoundsUp:
+    """The generic bound, cosh(x) x / (2(n+1)) with the float math.cosh(x),
+    rounded up: it holds because I_{n+1}(x)/I_n(x) < x/(2(n+1)) term by term
+    and math.cosh(x) >= 1."""
+
+    TINY_X = (1e-9, 3e-9, 7.3e-10, 1e-12, 1e-20, 1e-300)
+
+    @pytest.mark.parametrize("x", TINY_X)
+    def test_at_least_the_exact_term_ratio_bound(self, x):
+        for n in range(40):
+            assert Fraction(bessel_ratio_bound(n, x)) >= Fraction(x) / (2 * (n + 1)), n
+
+    # at 1e-300 the slack, about x^2 relative, is below what 60 digits resolve:
+    # the exact check above covers it
+    @pytest.mark.parametrize("x", (1e-9, 3e-9, 7.3e-10))
+    def test_holds_the_60_digit_ratio(self, x):
+        with mp.workdps(60):
+            for n in range(40):
+                ratio = mp.besseli(n + 1, x) / mp.besseli(n, x)
+                assert mp.mpf(bessel_ratio_bound(n, x)) >= ratio, n
+
+    def test_one_ulp_above_where_rounding_to_nearest_fell_below_the_ratio(self):
+        # 1e-10, the nearest float to the bound, lies below I_5(1e-9)/I_4(1e-9)
+        assert bessel_ratio_bound(4, 1e-9) == math.nextafter(1e-10, math.inf)
+
+    def test_a_finite_bound_where_cosh_x_times_x_overflows(self):
+        x = 710.4758600739439
+        bound = bessel_ratio_bound(1000, x)
+        assert bound == pytest.approx(6.38e307, rel=1e-3)
+        assert Fraction(bound) >= Fraction(math.cosh(x)) * Fraction(x) / 2002 > Fraction(bound) * (1 - 2**-52)
+
+
+class TestRatioToFloat:
+    @pytest.mark.parametrize("num, den", (
+        (1, 3), (2, 3), (10, 7), (0, 5), (1, 1 << 1075), (3, 1 << 1076), (1, 1 << 1080),
+        (2**1024 - 2**970 - 1, 1), (2**1024 - 2**971, 1), ((1 << 600) + 1, 1 << 600), (12345, 1 << 60),
+    ))
+    def test_rounds_to_the_float_on_each_side(self, num, den):
+        exact = Fraction(num, den)
+        near = bessel._ratio_to_float(num, den)
+        down, up = bessel._ratio_to_float(num, den, -1), bessel._ratio_to_float(num, den, 1)
+        assert near == num / den
+        assert down <= exact <= up
+        assert near in (down, up)
+        if down == up:
+            assert Fraction(down) == exact
+        else:
+            assert math.nextafter(down, math.inf) == up
+
+    @pytest.mark.parametrize("num", (2**1024 - 2**970, 2**1024, 2**2000))
+    def test_past_the_float_range(self, num):
+        assert bessel._ratio_to_float(num, 1) == math.inf
+        assert bessel._ratio_to_float(num, 1, 1) == math.inf
+        assert bessel._ratio_to_float(num, 1, -1) == sys.float_info.max
+
+    def test_just_above_the_largest_float_rounds_up_to_inf(self):
+        num = (2**1024 - 2**971) * 2 + 1
+        assert bessel._ratio_to_float(num, 2) == sys.float_info.max
+        assert bessel._ratio_to_float(num, 2, -1) == sys.float_info.max
+        assert bessel._ratio_to_float(num, 2, 1) == math.inf
+
+
+def _reference_float_toward(q: Fraction, up: bool) -> float:
+    f = float(q)
+    if f < q if up else f > q:
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
+
+
+def _reference_enclosure(n, x):
+    """bessel_i_enclosure with its ends rounded through Fractions: the reference for the integer rounding."""
+    n, x = bessel._check_order_and_x(n, x)
+    overflow = DomainError(f"the enclosure of I_{n}({x!r}) exceeds the float range")
+    if not x <= 710.4758600739439:
+        raise overflow
+    m, e = bessel._leading_term_frexp(n, x)
+    value, rel = Fraction(m) * Fraction(2) ** e, Fraction(4 * n, 2**53)
+    lo, hi = value * (1 - rel), value * (1 + rel) * Fraction(math.cosh(x)) * (1 + Fraction(1, 2**50))
+    if hi > Fraction(sys.float_info.max):
+        raise overflow
+    return Interval(_reference_float_toward(lo, up=False), _reference_float_toward(hi, up=True))
+
+
+def _reference_bessel_i(n, x):
+    """bessel_i with its bounds checked against 2^1024 - 2^970 and rounded by int / int: the reference."""
+    n, x = bessel._check_order_and_x(n, x)
+    overflow = DomainError(f"I_{n}({x!r}) exceeds the float range")
+    e = bessel._leading_term_frexp(n, x)[1]
+    if x <= 710.4758600739439 and e + math.frexp(math.cosh(x))[1] + 2 <= -1075:
+        return 0.0
+    if e >= 1026 or 8 * (1026 - e) * (1026 - e + n) <= x * x:
+        raise overflow
+    inf_at = 2**1024 - 2**970
+    for bits in itertools.count(max(0, bessel._ZIV_BITS + 2 - e), bessel._ZIV_BITS):
+        lo, hi = series_sum(n, x, bits)
+        if lo >= inf_at << bits:
+            raise overflow
+        if hi < inf_at << bits and lo / (1 << bits) == hi / (1 << bits):
+            return lo / (1 << bits)
+
+
+def _outcome(fn, n, x):
+    try:
+        return fn(n, x)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def _reference_cases(seed):
+    """A deterministic spread of (n, x) over the float range of the results.
+
+    Half the draws aim the leading term (x/2)^n/n! at e^t, t uniform in
+    [-770, 720], so they land from below the subnormals to past the largest
+    float; the rest take x log-uniform, for every n up to 2000 and down to
+    subnormal x for small n.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(200):
+        n = rng.randrange(1, 1000)
+        cases.append((n, min(2 * math.exp((math.lgamma(n + 1) + rng.uniform(-770, 720)) / n), 720.0)))
+    for count, max_n, min_x in ((140, 2001, 1e-3), (120, 60, 1e-320)):
+        lo, hi = math.log(min_x), math.log(720.0)
+        cases += [(rng.randrange(max_n), math.exp(rng.uniform(lo, hi))) for _ in range(count)]
+    return cases
+
+
+_COSH_LAST = 710.4758600739439
+_I0_LAST = 713.9869085439683
+ENCLOSURE_EDGES = [
+    (200, 1.0), (160, 1.0), (150, 1.0), (0, 1.0), (1, 1.0), (0, 1e-8), (3, 5e-324), (0, 5e-324),
+    (238, 476.0875), (238, 476.0876), (237, 476.0876), (300, 450.0), (300, 700.0), (2000, 700.0),
+    (1999, 720.0), (0, math.inf), (0, 1e300),
+    *((n, x) for n in (0, 1, 2, 100, 1000, 2000) for x in (_COSH_LAST, math.nextafter(_COSH_LAST, math.inf))),
+]
+BESSEL_I_EDGES = [
+    (0, _I0_LAST), (0, math.nextafter(_I0_LAST, 0.0)), (1, _I0_LAST), (0, math.inf), (0, 1.0),
+    (150, 1.0), (156, 1.0), (157, 1.0), (3, 5e-324), (1000, 2.0), (2, 37.5),
+]
+
+
+class TestAgainstTheFractionReference:
+    """The integer rounding gives the bits, and the DomainError messages, that
+    the Fraction rounding gave: the rationals are the same, only their
+    rounding moved."""
+
+    def test_enclosure(self):
+        cases = ENCLOSURE_EDGES + _reference_cases(seed=21)
+        assert len(cases) > 480
+        bad = [(n, x) for n, x in cases
+               if _outcome(bessel_i_enclosure, n, x) != _outcome(_reference_enclosure, n, x)]
+        assert not bad
+
+    def test_bessel_i(self):
+        cases = BESSEL_I_EDGES + [(n, x) for n, x in _reference_cases(seed=22) if n < 300]
+        bad = [(n, x) for n, x in cases if _outcome(bessel_i, n, x) != _outcome(_reference_bessel_i, n, x)]
+        assert not bad
 
 
 class TestOrders:
