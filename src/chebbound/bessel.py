@@ -314,13 +314,12 @@ def bessel_ratio_bound(n: int, x: float, specialize: bool = False):
         if x != 1.0:
             raise DomainError("the specialized ratio bound is defined at x = 1 only")
         return Fraction(4, 5 * (n + 1))
-    bound = math.inf
     if x <= _COSH_X_MAX:
         (c, d), (p, q) = math.cosh(x).as_integer_ratio(), x.as_integer_ratio()
         bound = _ratio_to_float(c * p, 2 * (n + 1) * d * q, 1)
-    if bound == math.inf:
-        raise DomainError(f"the ratio bound at ({n}, {x!r}) exceeds the float range")
-    return bound
+        if bound < math.inf:
+            return bound
+    raise DomainError(f"the ratio bound at ({n}, {x!r}) exceeds the float range")
 
 
 def recurrence_residual(n: int, x: float) -> float:
