@@ -79,8 +79,9 @@ class Interval(namedtuple("Interval", "lo hi")):
         return self.lo <= value <= self.hi
 
 
-# the last x at which math.cosh does not overflow
+# the last x at which math.cosh does not overflow, and math.exp(x/2)
 _COSH_X_MAX = 710.4758600739439
+_HALF_EXP_X_MAX = 1419.565425786768
 # bits below the leading term that bessel_i starts from, and adds per round
 _ZIV_BITS = 80
 
@@ -294,20 +295,21 @@ def bessel_i_enclosure(n: int, x: float) -> Interval:
 def bessel_ratio_bound(n: int, x: float, specialize: bool = False):
     """Upper bound on the ratio I_{n+1}(x)/I_n(x).
 
-    The generic bound is cosh(x) x / (2(n+1)), taken exactly with the float
-    math.cosh(x) and rounded up to a float.  It holds whatever the rounding
-    of math.cosh, which is at least 1: term by term I_{n+1}(x) < x/(2(n+1))
-    I_n(x).  With ``specialize=True`` the argument must be exactly 1 and the
-    sharper closed form is returned as the exact rational Fraction(4,
-    5(n+1)); comparisons of floats against a Fraction are exact, which keeps
-    downstream checks rigorous.
+    The generic bound is c x / (2(n+1)), taken exactly and rounded up to a
+    float, with c the float math.cosh(x) up to x = 710.4758600739439, where
+    math.cosh overflows, and fl(e^(x/2))^2 / 2 past it.  It holds whatever
+    the rounding of c, which is at least 1: term by term I_{n+1}(x) <
+    x/(2(n+1)) I_n(x).  With ``specialize=True`` the argument must be
+    exactly 1 and the sharper closed form is returned as the exact rational
+    Fraction(4, 5(n+1)); comparisons of floats against a Fraction are exact,
+    which keeps downstream checks rigorous.
 
     Raises
     ------
     DomainError
         If n is not a non-negative integer or x <= 0, if the bound exceeds
-        the largest float, or if x is past 710.4758600739439, where
-        math.cosh overflows.
+        the largest float, or if x is past 1419.565425786768, where
+        math.exp(x/2) overflows.
     """
     n, x = _check_order_and_x(n, x)
     if specialize:
@@ -315,7 +317,12 @@ def bessel_ratio_bound(n: int, x: float, specialize: bool = False):
             raise DomainError("the specialized ratio bound is defined at x = 1 only")
         return Fraction(4, 5 * (n + 1))
     if x <= _COSH_X_MAX:
-        (c, d), (p, q) = math.cosh(x).as_integer_ratio(), x.as_integer_ratio()
+        c, d = math.cosh(x).as_integer_ratio()
+    elif x <= _HALF_EXP_X_MAX:
+        h, g = math.exp(x / 2).as_integer_ratio()
+        c, d = h * h, 2 * g * g
+    if x <= _HALF_EXP_X_MAX:
+        p, q = x.as_integer_ratio()
         bound = _ratio_to_float(c * p, 2 * (n + 1) * d * q, 1)
         if bound < math.inf:
             return bound

@@ -7,11 +7,16 @@ and CPU feature set: ``sweep``'s ``exp`` column and its ``--log-grid`` x values
 come from numpy's ``exp`` and ``geomspace``, whose AVX-512 path can differ
 from the others in the last bit.
 
-Exit codes: 0 success, 1 any rejected certificate (``certify`` only) or a
-failed write, 2 invalid arguments or domain violations, each with one line
-on stderr.  Domain violations include inputs that need a coefficient a_k
-below the smallest normal float, k >= 151: ``coeffs --n 151`` and above,
-bracket pairs ``--n 76`` and above.
+A table of more than ``_WRITE_ROWS`` rows is formatted on every CPU that
+the process may run on: its pieces of ``_WRITE_ROWS`` rows go round the
+workers, this process and forked children, and this process writes each
+piece in table order, so the bytes do not depend on the number of CPUs.
+
+Exit codes: 0 success, 1 any rejected certificate (``certify`` only), a
+failed write or a failed row formatter, 2 invalid arguments or domain
+violations, each with one line on stderr.  Domain violations include inputs
+that need a coefficient a_k below the smallest normal float, k >= 151:
+``coeffs --n 151`` and above, bracket pairs ``--n 76`` and above.
 """
 
 from __future__ import annotations
@@ -22,9 +27,13 @@ import json
 import math
 import os
 import re
+import signal
 import sys
-from contextlib import nullcontext
-from itertools import islice, repeat
+import warnings
+from collections import deque
+from contextlib import closing, nullcontext
+from functools import partial
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -46,6 +55,9 @@ _SWEEP_BLOCK = 4096
 # with --with-taylor wrote at most 70 KB of CSV and 121 KB of JSON), so the
 # strings reuse heap memory whatever large arrays the process freed before
 _WRITE_ROWS = 512
+# the DeprecationWarning that os.fork gives from Python 3.12 where the
+# process has more than one thread
+_FORK_WITH_THREADS = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 # argparse reads '-4' and '-.5' after an option as its value, but '-1e4' and
 # '-inf' as option strings; every valid x is below -1, so every float
@@ -119,20 +131,138 @@ def _column(name, col, as_json):
     return "%s", map(json.dumps, col) if as_json or kind is bool else col
 
 
+def _write_all(write, data) -> None:
+    # a write to a pipe that a signal cuts short returns a short count
+    data = memoryview(data)
+    while data:
+        data = data[write(data):]
+
+
 def _write(out, text: str) -> None:
     raw = getattr(out, "buffer", None)
     if not isinstance(raw, io.RawIOBase):
         out.write(text)
         return
-    # unbuffered (python -u): a signal can cut a pipe write short, and the
-    # text layer would drop the rest
-    data = memoryview(text.encode(out.encoding, out.errors))
-    while data:
-        data = data[raw.write(data):]
+    # unbuffered (python -u): the text layer would drop the rest of a short write
+    _write_all(raw.write, text.encode(out.encoding, out.errors))
 
 
 def _output(args):
     return nullcontext(sys.stdout) if args.output is None else open(args.output, "w", newline="")
+
+
+def _pieces(columns, blocks, as_json):
+    """The table as pieces of at most ``_WRITE_ROWS`` rows of one block, in order.
+
+    Yields each piece's row template and an iterator over its rows, which
+    must be used up, formatted or skipped, before the next piece is asked for.
+    """
+    keys = [json.dumps(c).replace("%", "%%") for c in columns]
+    for block in blocks:
+        fields, cells = zip(*map(_column, columns, block, repeat(as_json)))
+        if as_json:
+            template = "  {\n" + ",\n".join(f"    {k}: {f}" for k, f in zip(keys, fields)) + "\n  }"
+        else:
+            template = ",".join(fields)
+        cells = [c for c in cells if c is not None]
+        rows = zip(*cells) if cells else repeat((), len(block[0]))
+        for _ in range(0, len(block[0]), _WRITE_ROWS):
+            yield template, islice(rows, _WRITE_ROWS)
+
+
+def _format_piece(sep, template, rows) -> str:
+    return sep.join(map(template.__mod__, rows))
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        # From Python 3.12 fork warns in a process with more than one thread,
+        # and numpy's BLAS threads make this one so.  A formatter child runs
+        # only Python's % formatting and os.write, never BLAS, and leaves
+        # through os._exit.
+        warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
+        return os.fork()
+
+
+def _serve(fd, inherited, worker, k, sep, numbered) -> None:
+    """In a forked child: send worker ``worker``'s pieces down ``fd`` and exit.
+
+    Piece i is the worker's if i % k == worker; the others are skipped.  Each
+    piece goes as its length in 8 bytes and then its UTF-8 text, with
+    surrogatepass so that every str survives.  The child first closes the
+    pipe ends it ``inherited``, and leaves through os._exit only, so it
+    never flushes the parent's buffers or runs its cleanup.
+    """
+    status = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        write = partial(os.write, fd)
+        for index, (template, rows) in numbered:
+            if index % k == worker:
+                data = _format_piece(sep, template, rows).encode("utf-8", "surrogatepass")
+                _write_all(write, len(data).to_bytes(8, "little") + data)
+            else:
+                deque(rows, 0)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read(fd, size, pid) -> bytearray:
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise ChildProcessError(f"row formatter {pid} stopped before the end of the table")
+        data += chunk
+    return data
+
+
+def _receive(fd, pid) -> str:
+    """The next piece that child ``pid`` sent down ``fd``."""
+    size = int.from_bytes(_read(fd, 8, pid), "little")
+    return _read(fd, size, pid).decode("utf-8", "surrogatepass")
+
+
+def _formatted(pieces, sep):
+    """Each piece's text, in table order, from the workers that :func:`_emit_blocks` describes."""
+    # the CPUs this process may run on; sched_getaffinity exists on Linux only
+    k = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    pids, fds = [], []  # worker w's pid and the read end of its pipe, at w - 1
+    numbered = enumerate(pieces)
+    try:
+        for index, (template, rows) in numbered:
+            worker = index % k
+            if not worker:
+                yield _format_piece(sep, template, rows)
+                continue
+            if worker > len(pids):
+                read_fd, write_fd = os.pipe()
+                fds.append(read_fd)
+                try:
+                    pid = _fork()
+                    if not pid:
+                        _serve(write_fd, fds, worker, k, sep, chain([(index, (template, rows))], numbered))
+                    pids.append(pid)
+                finally:
+                    os.close(write_fd)
+            deque(rows, 0)
+            yield _receive(fds[worker - 1], pids[worker - 1])
+        while pids:
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[-1], 0)[1])
+            pid = pids.pop()
+            if code:
+                raise ChildProcessError(f"row formatter {pid} exited with status {code}")
+    finally:
+        # an early end (a failed write, a reader gone, an interrupt) leaves
+        # children running
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def _emit_blocks(args, columns, blocks, default="csv") -> None:
@@ -141,29 +271,29 @@ def _emit_blocks(args, columns, blocks, default="csv") -> None:
     Each block is a sequence of equal-length columns of Python values, one
     type per column.  JSON writes one object per row keyed by ``columns``, as
     ``json.dumps(..., indent=2)`` does.  Each block is formatted with one
-    ``%`` template and written as it comes, ``_WRITE_ROWS`` rows at a time,
+    ``%`` template, ``_WRITE_ROWS`` rows at a time, and written as it comes
     to ``--output`` if set, else to stdout.
+
+    The pieces of ``_WRITE_ROWS`` rows are numbered across the table, and
+    with k usable CPUs piece i is formatted by worker i % k.  Worker 0 is
+    this process; worker w > 0 is a child forked when piece w comes, which
+    walks the same pieces from there on and sends its own down a pipe.  So
+    a table of one piece forks nothing, and ``blocks`` must give the same
+    values in every process.  This process alone writes, each piece in
+    table order, so the bytes are those of one process formatting every row.
     """
     as_json = (args.format or default) == "json"
     if as_json:
-        keys = [json.dumps(c).replace("%", "%%") for c in columns]
         start, sep, end, empty = "[\n", ",\n", "\n]\n", "[]\n"
     else:
         start = empty = ",".join(columns) + "\n"
         sep = end = "\n"
-    with _output(args) as out:
+    texts = _formatted(_pieces(columns, blocks, as_json), sep)
+    with _output(args) as out, closing(texts):
         lead = None
-        for block in blocks:
-            fields, cells = zip(*map(_column, columns, block, repeat(as_json)))
-            if as_json:
-                template = "  {\n" + ",\n".join(f"    {k}: {f}" for k, f in zip(keys, fields)) + "\n  }"
-            else:
-                template = ",".join(fields)
-            cells = [c for c in cells if c is not None]
-            lines = map(template.__mod__, zip(*cells) if cells else repeat((), len(block[0])))
-            for piece in iter(lambda: list(islice(lines, _WRITE_ROWS)), []):
-                _write(out, (lead or start) + sep.join(piece))
-                lead = sep
+        for text in texts:
+            _write(out, (lead or start) + text)
+            lead = sep
         _write(out, end if lead else empty)
 
 

@@ -295,6 +295,21 @@ class TestRatioBoundRoundsUp:
         # 1e-10, the nearest float to the bound, lies below I_5(1e-9)/I_4(1e-9)
         assert bessel_ratio_bound(4, 1e-9) == math.nextafter(1e-10, math.inf)
 
+    # past x = 710.4758600739439, where math.cosh overflows, the factor is
+    # fl(e^(x/2))^2 / 2: at least 1, and within a few ulps of cosh(x)
+    @pytest.mark.parametrize("n, x", ((10**6, 711.0), (10**130, 1000.0), (10**320, 1419.565425786768)),
+                             ids=("711", "1000", "last-exp"))
+    def test_past_the_cosh_range_a_finite_bound_holds(self, n, x):
+        bound = bessel_ratio_bound(n, x)
+        assert Fraction(bound) >= Fraction(x) / (2 * (n + 1))
+        with mp.workdps(60):
+            assert mp.mpf(bound) == pytest.approx(mp.cosh(x) * x / (2 * (n + 1)), rel=1e-15)
+
+    def test_past_the_exp_range_is_a_domain_error(self):
+        # e^(x/2) overflows, although the bound would be a float
+        with pytest.raises(DomainError, match="float range"):
+            bessel_ratio_bound(10**400, math.nextafter(1419.565425786768, math.inf))
+
     def test_a_finite_bound_where_cosh_x_times_x_overflows(self):
         x = 710.4758600739439
         bound = bessel_ratio_bound(1000, x)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from mpmath import mp
 
 import chebbound as cb
 import oracles
-from chebbound.cli import _SWEEP_BLOCK, SWEEP_HEADER, _emit_table, main
+import chebbound.cli as cli_mod
+from chebbound.cli import _SWEEP_BLOCK, _WRITE_ROWS, SWEEP_HEADER, _emit_table, main
 
 
 @pytest.fixture
@@ -52,6 +54,23 @@ def _reference_csv(columns, rows):
     return "\n".join([",".join(columns)] + [",".join(map(cell, r)) for r in rows]) + "\n"
 
 
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=(1, 2, 3))
+def cpus(request, monkeypatch):
+    """The number of CPUs that the emitter may run on, and so its worker count.
+
+    Each worker past the first is a forked process: a large count would fork
+    that many.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
+    yield request.param
+    _no_child_is_left()
+
+
 class TestEmitTable:
     """The block-wise emitter against the per-cell text it replaced."""
 
@@ -73,12 +92,71 @@ class TestEmitTable:
         assert err == ""
         return out
 
-    @pytest.mark.parametrize("count", (1, 9, _SWEEP_BLOCK, 2 * _SWEEP_BLOCK + 3))
+    @pytest.mark.parametrize("count", (1, 9, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, _SWEEP_BLOCK,
+                                       2 * _SWEEP_BLOCK + 3))
     @pytest.mark.parametrize("nonfinite_from", (None, 0, _SWEEP_BLOCK))
-    def test_matches_the_per_cell_text(self, capsys, count, nonfinite_from):
+    def test_matches_the_per_cell_text(self, capsys, cpus, count, nonfinite_from):
         rows = self._rows(count, nonfinite_from)
         assert self._emit(capsys, "json", self.COLUMNS, iter(rows)) == _reference_json(self.COLUMNS, rows)
         assert self._emit(capsys, "csv", self.COLUMNS, iter(rows)) == _reference_csv(self.COLUMNS, rows)
+
+    def test_a_child_that_fails_is_an_error_and_is_reaped(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent, format_piece = os.getpid(), cli_mod._format_piece
+
+        def fail_in_a_child():
+            if os.getpid() != parent:
+                raise MemoryError
+
+        def rows_then_fail_in_a_child():
+            # the second block is taken after the fork
+            yield from self._rows(_SWEEP_BLOCK + 1)
+            fail_in_a_child()
+
+        # before it sends the piece it owes
+        monkeypatch.setattr(cli_mod, "_format_piece", lambda *args: fail_in_a_child() or format_piece(*args))
+        with pytest.raises(ChildProcessError, match="row formatter .* stopped before the end"):
+            self._emit(capsys, "csv", self.COLUMNS, self._rows(3 * _WRITE_ROWS))
+        _no_child_is_left()
+        # after its last piece
+        monkeypatch.setattr(cli_mod, "_format_piece", format_piece)
+        with pytest.raises(ChildProcessError, match="row formatter .* exited with status 1"):
+            self._emit(capsys, "csv", self.COLUMNS, rows_then_fail_in_a_child())
+        _no_child_is_left()
+
+    def test_a_failed_write_kills_and_reaps_every_child(self, capsys, monkeypatch):
+        # /dev/full refuses the first piece, before any child exists
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        writes = []
+
+        def full_from_the_third_piece(out, text):
+            # pieces 1 and 2 came from two children, which are still running
+            writes.append(text)
+            if len(writes) > 2:
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli_mod, "_write", full_from_the_third_piece)
+        with pytest.raises(OSError, match="No space"):
+            self._emit(capsys, "csv", self.COLUMNS, self._rows(6 * _WRITE_ROWS))
+        _no_child_is_left()
+
+    def test_the_fork_warning_of_a_threaded_process_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fork = os.fork
+
+        def warning_fork():
+            # as Python 3.12 and later warn where the process has threads,
+            # once the child exists
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+                              "to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        rows = self._rows(3 * _WRITE_ROWS)
+        assert self._emit(capsys, "csv", self.COLUMNS, rows) == _reference_csv(self.COLUMNS, rows)
+        _no_child_is_left()
 
     def test_sum_overflow_is_not_taken_for_a_nonfinite_cell(self, capsys):
         rows = [(1.7e308,), (1.7e308,), (-0.1,)]
@@ -120,9 +198,12 @@ class TestEmitTable:
             _emit_table(argparse.Namespace(format=fmt, output=None), self.COLUMNS, rows)
             assert raw.data.decode() == reference(self.COLUMNS, rows)
 
-    def test_a_column_of_mixed_types_is_refused(self, capsys):
+    def test_a_column_of_mixed_types_is_refused(self, capsys, cpus):
         with pytest.raises(TypeError, match="'f' mixes"):
             self._emit(capsys, "csv", ("f",), [(1.0,), (None,)])
+        # in a later block, after the children were forked: this process raises
+        with pytest.raises(TypeError, match="'f' mixes"):
+            self._emit(capsys, "csv", ("f",), [(1.0,)] * _SWEEP_BLOCK + [(1.0,), (None,)])
 
 
 class TestCoeffs:
@@ -155,8 +236,16 @@ class TestCoeffs:
         assert [row["index"] for row in payload] == [0, 1]
 
 
+def _fork_fails(monkeypatch):
+    def fork():
+        raise AssertionError("a small table forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
 class TestEnclose:
-    def test_point_at_minus_two(self, run_cli):
+    def test_point_at_minus_two(self, run_cli, monkeypatch):
+        _fork_fails(monkeypatch)
         code, out, _ = run_cli(["enclose", "--n", "1", "--x", "-2"])
         assert code == 0
         header, rows = _parse_csv(out)
@@ -295,7 +384,8 @@ class TestCertify:
         }
         assert cert["verdict"] == "accepted"
 
-    def test_full_range(self, run_cli):
+    def test_full_range(self, run_cli, monkeypatch):
+        _fork_fails(monkeypatch)
         code, out, _ = run_cli(["certify", "--range", "1..64"])
         assert code == 0
         payload = json.loads(out)
@@ -325,7 +415,6 @@ class TestCertify:
 
     def test_any_rejection_is_exit_1(self, run_cli, monkeypatch):
         # no real degree >= 1 is rejected, so force one to pin the exit code
-        import chebbound.cli as cli_mod
         from chebbound.certificate import Certificate
         from fractions import Fraction
 
@@ -499,17 +588,27 @@ SWEEP_100K = [sys.executable, "-m", "chebbound", "sweep", "--n", "4", "--x-min=-
               "--points", "100000"]
 
 
+def _no_process_is_left(proc):
+    # the run had a session of its own: none of its row formatters outlived it
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
 def test_reader_leaving_early_is_a_quiet_success():
-    with subprocess.Popen(SWEEP_100K, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+    with subprocess.Popen(SWEEP_100K, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as proc:
         assert proc.stdout.readline() == (SWEEP_HEADER + "\n").encode()
         proc.stdout.close()
         assert proc.wait(timeout=120) == 0
         assert proc.stderr.read() == b""
+    _no_process_is_left(proc)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_write_error_is_exit_1_with_the_message():
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(SWEEP_100K, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    with open("/dev/full", "w") as full, subprocess.Popen(SWEEP_100K, stdout=full, stderr=subprocess.PIPE,
+                                                          text=True, start_new_session=True) as proc:
+        _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
-    assert proc.stderr == "chebbound sweep: error: [Errno 28] No space left on device\n"
+    assert err == "chebbound sweep: error: [Errno 28] No space left on device\n"
+    _no_process_is_left(proc)
