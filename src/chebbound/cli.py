@@ -176,10 +176,9 @@ def _format_piece(sep, template, rows) -> str:
 
 def _fork() -> int:
     with warnings.catch_warnings():
-        # From Python 3.12 fork warns in a process with more than one thread,
-        # and numpy's BLAS threads make this one so.  A formatter child runs
-        # only Python's % formatting and os.write, never BLAS, and leaves
-        # through os._exit.
+        # numpy's BLAS threads make this process multi-threaded, but a
+        # formatter child runs only Python's % formatting and os.write, never
+        # BLAS, and leaves through os._exit
         warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
         return os.fork()
 
