@@ -7,10 +7,11 @@ and CPU feature set: ``sweep``'s ``exp`` column and its ``--log-grid`` x values
 come from numpy's ``exp`` and ``geomspace``, whose AVX-512 path can differ
 from the others in the last bit.
 
-A table of more than ``_WRITE_ROWS`` rows is formatted on every CPU that
-the process may run on: its pieces of ``_WRITE_ROWS`` rows go round the
-workers, this process and forked children, and this process writes each
-piece in table order, so the bytes do not depend on the number of CPUs.
+A table of more than ``_WRITE_ROWS`` rows is formatted on up to
+``_MAX_WORKERS`` (two) of the CPUs that the process may run on: its pieces
+of ``_WRITE_ROWS`` rows go round the workers, this process and a forked
+child, and this process writes each piece in table order, so the bytes do
+not depend on the number of CPUs.
 
 Exit codes: 0 success, 1 any rejected certificate (``certify`` only), a
 failed write or a failed row formatter, 2 invalid arguments or domain
@@ -27,7 +28,6 @@ import json
 import math
 import os
 import re
-import signal
 import sys
 import warnings
 from collections import deque
@@ -55,6 +55,10 @@ _SWEEP_BLOCK = 4096
 # with --with-taylor wrote at most 70 KB of CSV and 121 KB of JSON), so the
 # strings reuse heap memory whatever large arrays the process freed before
 _WRITE_ROWS = 512
+# formatters at most: only two were timed where each had a CPU.  Each one
+# walks every row of the table, so each adds CPU time: sixteen sharing two
+# CPUs took longer than one, and a CPU quota leaves the affinity mask whole
+_MAX_WORKERS = 2
 # the DeprecationWarning that os.fork gives from Python 3.12 where the
 # process has more than one thread
 _FORK_WITH_THREADS = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
@@ -177,35 +181,30 @@ def _format_piece(sep, template, rows) -> str:
 def _fork() -> int:
     with warnings.catch_warnings():
         # numpy's BLAS threads make this process multi-threaded, but a
-        # formatter child runs only Python's % formatting and os.write, never
-        # BLAS, and leaves through os._exit
+        # formatter child runs only the table's blocks, which call no BLAS
+        # (see _emit_blocks), % formatting and os.write, and leaves through
+        # os._exit
         warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
         return os.fork()
 
 
 def _serve(fd, inherited, worker, k, sep, numbered) -> None:
-    """In a forked child: send worker ``worker``'s pieces down ``fd`` and exit.
+    """In a forked child: send worker ``worker``'s pieces down ``fd``.
 
     Piece i is the worker's if i % k == worker; the others are skipped.  Each
     piece goes as its length in 8 bytes and then its UTF-8 text, with
     surrogatepass so that every str survives.  The child first closes the
-    pipe ends it ``inherited``, and leaves through os._exit only, so it
-    never flushes the parent's buffers or runs its cleanup.
+    pipe ends it ``inherited``.
     """
-    status = 1
-    try:
-        for other in inherited:
-            os.close(other)
-        write = partial(os.write, fd)
-        for index, (template, rows) in numbered:
-            if index % k == worker:
-                data = _format_piece(sep, template, rows).encode("utf-8", "surrogatepass")
-                _write_all(write, len(data).to_bytes(8, "little") + data)
-            else:
-                deque(rows, 0)
-        status = 0
-    finally:
-        os._exit(status)
+    for other in inherited:
+        os.close(other)
+    write = partial(os.write, fd)
+    for index, (template, rows) in numbered:
+        if index % k == worker:
+            data = _format_piece(sep, template, rows).encode("utf-8", "surrogatepass")
+            _write_all(write, len(data).to_bytes(8, "little") + data)
+        else:
+            deque(rows, 0)
 
 
 def _read(fd, size, pid) -> bytearray:
@@ -226,8 +225,10 @@ def _receive(fd, pid) -> str:
 
 def _formatted(pieces, sep):
     """Each piece's text, in table order, from the workers that :func:`_emit_blocks` describes."""
-    # the CPUs this process may run on; sched_getaffinity exists on Linux only
-    k = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    # a worker per CPU this process may run on, up to the cap;
+    # sched_getaffinity exists on Linux only
+    k = min(len(os.sched_getaffinity(0)), _MAX_WORKERS) if hasattr(os, "sched_getaffinity") else 1
+    parent = os.getpid()
     pids, fds = [], []  # worker w's pid and the read end of its pipe, at w - 1
     numbered = enumerate(pieces)
     try:
@@ -240,11 +241,16 @@ def _formatted(pieces, sep):
                 read_fd, write_fd = os.pipe()
                 fds.append(read_fd)
                 try:
-                    pid = _fork()
-                    if not pid:
+                    pids.append(_fork())
+                    if not pids[-1]:
                         _serve(write_fd, fds, worker, k, sep, chain([(index, (template, rows))], numbered))
-                    pids.append(pid)
+                        os._exit(0)
                 finally:
+                    # a child, whatever it raised from the fork on, leaves
+                    # here: it never flushes this process's buffers or runs
+                    # its cleanup
+                    if os.getpid() != parent:
+                        os._exit(1)
                     os.close(write_fd)
             deque(rows, 0)
             yield _receive(fds[worker - 1], pids[worker - 1])
@@ -254,14 +260,13 @@ def _formatted(pieces, sep):
             if code:
                 raise ChildProcessError(f"row formatter {pid} exited with status {code}")
     finally:
-        # an early end (a failed write, a reader gone, an interrupt) leaves
-        # children running
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
+        # after an early end (a failed write, a reader gone, an interrupt)
+        # a child still running fails its next write to the closed pipe
+        # (EPIPE, or SIGPIPE where that is not ignored) and exits
         for fd in fds:
             os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _emit_blocks(args, columns, blocks, default="csv") -> None:
@@ -274,12 +279,18 @@ def _emit_blocks(args, columns, blocks, default="csv") -> None:
     to ``--output`` if set, else to stdout.
 
     The pieces of ``_WRITE_ROWS`` rows are numbered across the table, and
-    with k usable CPUs piece i is formatted by worker i % k.  Worker 0 is
-    this process; worker w > 0 is a child forked when piece w comes, which
-    walks the same pieces from there on and sends its own down a pipe.  So
-    a table of one piece forks nothing, and ``blocks`` must give the same
-    values in every process.  This process alone writes, each piece in
-    table order, so the bytes are those of one process formatting every row.
+    with k workers, the usable CPUs but at most ``_MAX_WORKERS``, piece i is
+    formatted by worker i % k.  Worker 0 is this process; worker w > 0 is a
+    child forked when piece w comes, which walks the same pieces from there
+    on and sends its own down a pipe.  So a table of one piece forks nothing.
+    This process alone writes, each piece in table order, so the bytes are
+    those of one process formatting every row.
+
+    Every worker runs ``blocks`` to its end, so from the fork on it must give
+    the same values in every process, have no side effects (read no input,
+    write nothing, change no state that outlives it) and call no BLAS: a
+    child has none of numpy's BLAS threads, and a lock that one of them held
+    at the fork stays held there.
     """
     as_json = (args.format or default) == "json"
     if as_json:

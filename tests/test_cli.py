@@ -59,14 +59,20 @@ def _no_child_is_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture(params=(1, 2, 3))
-def cpus(request, monkeypatch):
-    """The number of CPUs that the emitter may run on, and so its worker count.
+def _workers(monkeypatch, count):
+    """Let the emitter run ``count`` workers: as many CPUs, and a cap no lower.
 
     Each worker past the first is a forked process: a large count would fork
     that many.
     """
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(cli_mod, "_MAX_WORKERS", max(count, cli_mod._MAX_WORKERS))
+
+
+@pytest.fixture(params=(1, 2, 3))
+def cpus(request, monkeypatch):
+    """The emitter's worker count, the number of CPUs that it may run on."""
+    _workers(monkeypatch, request.param)
     yield request.param
     _no_child_is_left()
 
@@ -100,8 +106,22 @@ class TestEmitTable:
         assert self._emit(capsys, "json", self.COLUMNS, iter(rows)) == _reference_json(self.COLUMNS, rows)
         assert self._emit(capsys, "csv", self.COLUMNS, iter(rows)) == _reference_csv(self.COLUMNS, rows)
 
+    def test_workers_are_capped_below_the_cpu_count(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        rows = self._rows(8 * _WRITE_ROWS)
+        assert self._emit(capsys, "csv", self.COLUMNS, rows) == _reference_csv(self.COLUMNS, rows)
+        assert len(forks) == cli_mod._MAX_WORKERS - 1 == 1
+        _no_child_is_left()
+
     def test_a_child_that_fails_is_an_error_and_is_reaped(self, capsys, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        _workers(monkeypatch, 2)
         parent, format_piece = os.getpid(), cli_mod._format_piece
 
         def fail_in_a_child():
@@ -124,9 +144,30 @@ class TestEmitTable:
             self._emit(capsys, "csv", self.COLUMNS, rows_then_fail_in_a_child())
         _no_child_is_left()
 
-    def test_a_failed_write_kills_and_reaps_every_child(self, capsys, monkeypatch):
+    def test_a_child_leaves_through_os_exit_whatever_it_raises(self, capsys, monkeypatch, tmp_path):
+        # an interrupt in the child before it starts serving: it must not
+        # unwind into this process's stack and run its cleanup twice
+        _workers(monkeypatch, 2)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        exits, exit_ = tmp_path / "exits", os._exit
+
+        def recorded_exit(status):
+            exits.write_text(str(status))
+            exit_(status)
+
+        monkeypatch.setattr(cli_mod, "_serve", interrupted)
+        monkeypatch.setattr(os, "_exit", recorded_exit)
+        with pytest.raises(ChildProcessError, match="row formatter .* stopped before the end"):
+            self._emit(capsys, "csv", self.COLUMNS, self._rows(3 * _WRITE_ROWS))
+        assert exits.read_text() == "1"
+        _no_child_is_left()
+
+    def test_a_failed_write_ends_and_reaps_every_child(self, capsys, monkeypatch):
         # /dev/full refuses the first piece, before any child exists
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        _workers(monkeypatch, 3)
         writes = []
 
         def full_from_the_third_piece(out, text):
@@ -141,7 +182,7 @@ class TestEmitTable:
         _no_child_is_left()
 
     def test_the_fork_warning_of_a_threaded_process_is_ignored(self, capsys, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        _workers(monkeypatch, 2)
         fork = os.fork
 
         def warning_fork():
@@ -599,7 +640,11 @@ def test_reader_leaving_early_is_a_quiet_success():
                           start_new_session=True) as proc:
         assert proc.stdout.readline() == (SWEEP_HEADER + "\n").encode()
         proc.stdout.close()
-        assert proc.wait(timeout=120) == 0
+        try:
+            assert proc.wait(timeout=120) == 0
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
         assert proc.stderr.read() == b""
     _no_process_is_left(proc)
 
@@ -608,7 +653,11 @@ def test_reader_leaving_early_is_a_quiet_success():
 def test_write_error_is_exit_1_with_the_message():
     with open("/dev/full", "w") as full, subprocess.Popen(SWEEP_100K, stdout=full, stderr=subprocess.PIPE,
                                                           text=True, start_new_session=True) as proc:
-        _, err = proc.communicate(timeout=120)
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
     assert proc.returncode == 1
     assert err == "chebbound sweep: error: [Errno 28] No space left on device\n"
     _no_process_is_left(proc)
