@@ -137,20 +137,18 @@ def taylor_eval(n: int, x):
 def taylor_sandwich(n: int, x: float) -> Enclosure:
     """Maclaurin bracket: degree-n sum <= exp(x) <= degree-(n+1) sum.
 
-    Valid for odd n and x < 0; anything else is rejected.
+    Valid for odd n and x < 0; anything else is rejected.  Both sums run in
+    one pass (``_kernels.taylor_bracket``), each with the bits of
+    ``taylor_eval`` at its degree.
     """
     n = _degree(n, 1, "the Maclaurin bracket")
     if n % 2 == 0:
         raise DomainError("the Maclaurin bracket needs an odd degree")
     if not x < 0:
         raise DomainError("the Maclaurin bracket holds for x < 0 only")
-    return Enclosure(
-        x=float(x),
-        lower=taylor_eval(n, x),
-        upper=taylor_eval(n + 1, x),
-        lower_degree=n,
-        upper_degree=n + 1,
-    )
+    x = float(x)
+    lower, upper = _kernels.taylor_bracket(n, x)
+    return Enclosure(x, lower, upper, n, n + 1)
 
 
 def cheb_sandwich(n: int, x: float) -> Enclosure:
@@ -158,20 +156,17 @@ def cheb_sandwich(n: int, x: float) -> Enclosure:
 
     ``n`` counts bracket pairs, so the polynomial degrees are 2n-1 and 2n.
     Points with x >= -1 are rejected rather than given an uncertified
-    answer: the bracket is only guaranteed on (-inf, -1).
+    answer: the bracket is only guaranteed on (-inf, -1).  Both truncations
+    run in one pass (``_kernels.clenshaw_bracket``), each with the bits of
+    ``clenshaw_eval(partial_sum(k), x)`` at its degree k.
     """
     n = _degree(n, 1, "the Chebyshev bracket")
     if not x < -1.0:
         raise DomainError("the Chebyshev bracket is certified on x < -1 only")
-    lo_series = partial_sum(2 * n - 1)
-    hi_series = partial_sum(2 * n)
-    return Enclosure(
-        x=float(x),
-        lower=clenshaw_eval(lo_series, x),
-        upper=clenshaw_eval(hi_series, x),
-        lower_degree=2 * n - 1,
-        upper_degree=2 * n,
-    )
+    lower_degree = _coefficient_degree(2 * n - 1, 0, "the coefficient count")
+    x = float(x)
+    lower, upper = _kernels.clenshaw_bracket(_COEFFICIENTS[: lower_degree + 2], x)
+    return Enclosure(x, lower, upper, lower_degree, lower_degree + 1)
 
 
 def endpoint_gap(n: int) -> float:
