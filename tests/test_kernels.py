@@ -79,6 +79,10 @@ def test_float_and_array_points_give_the_same_bits():
             floats = [_kernels.taylor_kernel(n, x) for x in POINTS]
             assert all(type(v) is float for v in floats)
             _assert_same_bits(floats, _kernels.taylor_kernel(n, xs))
+            # the bracket kernel's ends: the sums of degrees n and n+1
+            lower, upper = zip(*(_kernels.taylor_bracket(n, x) for x in POINTS))
+            _assert_same_bits(lower, _kernels.taylor_kernel(n, xs))
+            _assert_same_bits(upper, _kernels.taylor_kernel(n + 1, xs))
 
 
 def _exact_terms(coeffs, x):
