@@ -7,11 +7,11 @@ and CPU feature set: ``sweep``'s ``exp`` column and its ``--log-grid`` x values
 come from numpy's ``exp`` and ``geomspace``, whose AVX-512 path can differ
 from the others in the last bit.
 
-A table of more than ``_WRITE_ROWS`` rows is formatted on up to
-``_MAX_WORKERS`` (two) of the CPUs that the process may run on: its pieces
-of ``_WRITE_ROWS`` rows go round the workers, this process and a forked
-child, and this process writes each piece in table order, so the bytes do
-not depend on the number of CPUs.
+A table is written in blocks of ``_BLOCK_ROWS`` rows.  Where the process may
+run on two or more CPUs, a table of two or more blocks is formatted by this
+process and one forked child, the child taking the odd blocks; this process
+writes every block in table order, so the bytes do not depend on the number
+of CPUs.
 
 Exit codes: 0 success, 1 any rejected certificate (``certify`` only), a
 failed write or a failed row formatter, 2 invalid arguments or domain
@@ -30,10 +30,9 @@ import os
 import re
 import sys
 import warnings
-from collections import deque
 from contextlib import closing, nullcontext
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -50,15 +49,11 @@ from .expseries import (
 
 SWEEP_COLUMNS = ("x", "lower", "upper", "exp", "taylor_lower", "taylor_upper")
 SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
-_SWEEP_BLOCK = 4096
-# rows per write: under glibc's default mmap threshold of 128 KiB (sweeps
-# with --with-taylor wrote at most 70 KB of CSV and 121 KB of JSON), so the
-# strings reuse heap memory whatever large arrays the process freed before
-_WRITE_ROWS = 512
-# formatters at most: only two were timed where each had a CPU.  Each one
-# walks every row of the table, so each adds CPU time: sixteen sharing two
-# CPUs took longer than one, and a CPU quota leaves the affinity mask whole
-_MAX_WORKERS = 2
+# rows per block: each block's text stays under glibc's default mmap
+# threshold of 128 KiB (sweeps with --with-taylor wrote at most 70 KB of CSV
+# and 121 KB of JSON), so the strings reuse heap memory whatever large arrays
+# the process freed before
+_BLOCK_ROWS = 512
 # the DeprecationWarning that os.fork gives from Python 3.12 where the
 # process has more than one thread
 _FORK_WITH_THREADS = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
@@ -155,26 +150,15 @@ def _output(args):
     return nullcontext(sys.stdout) if args.output is None else open(args.output, "w", newline="")
 
 
-def _pieces(columns, blocks, as_json):
-    """The table as pieces of at most ``_WRITE_ROWS`` rows of one block, in order.
-
-    Yields each piece's row template and an iterator over its rows, which
-    must be used up, formatted or skipped, before the next piece is asked for.
-    """
-    keys = [json.dumps(c).replace("%", "%%") for c in columns]
-    for block in blocks:
-        fields, cells = zip(*map(_column, columns, block, repeat(as_json)))
-        if as_json:
-            template = "  {\n" + ",\n".join(f"    {k}: {f}" for k, f in zip(keys, fields)) + "\n  }"
-        else:
-            template = ",".join(fields)
-        cells = [c for c in cells if c is not None]
-        rows = zip(*cells) if cells else repeat((), len(block[0]))
-        for _ in range(0, len(block[0]), _WRITE_ROWS):
-            yield template, islice(rows, _WRITE_ROWS)
-
-
-def _format_piece(sep, template, rows) -> str:
+def _format_block(columns, keys, block, as_json, sep) -> str:
+    """One block's rows as text, each row through one ``%`` template, joined by ``sep``."""
+    fields, cells = zip(*map(_column, columns, block, repeat(as_json)))
+    if as_json:
+        template = "  {\n" + ",\n".join(f"    {k}: {f}" for k, f in zip(keys, fields)) + "\n  }"
+    else:
+        template = ",".join(fields)
+    cells = [c for c in cells if c is not None]
+    rows = zip(*cells) if cells else repeat((), len(block[0]))
     return sep.join(map(template.__mod__, rows))
 
 
@@ -188,25 +172,6 @@ def _fork() -> int:
         return os.fork()
 
 
-def _serve(fd, inherited, worker, k, sep, numbered) -> None:
-    """In a forked child: send worker ``worker``'s pieces down ``fd``.
-
-    Piece i is the worker's if i % k == worker; the others are skipped.  Each
-    piece goes as its length in 8 bytes and then its UTF-8 text, with
-    surrogatepass so that every str survives.  The child first closes the
-    pipe ends it ``inherited``.
-    """
-    for other in inherited:
-        os.close(other)
-    write = partial(os.write, fd)
-    for index, (template, rows) in numbered:
-        if index % k == worker:
-            data = _format_piece(sep, template, rows).encode("utf-8", "surrogatepass")
-            _write_all(write, len(data).to_bytes(8, "little") + data)
-        else:
-            deque(rows, 0)
-
-
 def _read(fd, size, pid) -> bytearray:
     data = bytearray()
     while len(data) < size:
@@ -218,79 +183,73 @@ def _read(fd, size, pid) -> bytearray:
 
 
 def _receive(fd, pid) -> str:
-    """The next piece that child ``pid`` sent down ``fd``."""
+    """The next block's text that child ``pid`` sent down ``fd``."""
     size = int.from_bytes(_read(fd, 8, pid), "little")
     return _read(fd, size, pid).decode("utf-8", "surrogatepass")
 
 
-def _formatted(pieces, sep):
-    """Each piece's text, in table order, from the workers that :func:`_emit_blocks` describes."""
-    # a worker per CPU this process may run on, up to the cap;
+def _formatted(count, text):
+    """``text(i)`` for each of the ``count`` blocks, in table order, as :func:`_emit_blocks` describes."""
     # sched_getaffinity exists on Linux only
-    k = min(len(os.sched_getaffinity(0)), _MAX_WORKERS) if hasattr(os, "sched_getaffinity") else 1
-    parent = os.getpid()
-    pids, fds = [], []  # worker w's pid and the read end of its pipe, at w - 1
-    numbered = enumerate(pieces)
+    if count < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        yield from map(text, range(count))
+        return
+    parent, pid = os.getpid(), None
+    read_fd, write_fd = os.pipe()
     try:
-        for index, (template, rows) in numbered:
-            worker = index % k
-            if not worker:
-                yield _format_piece(sep, template, rows)
-                continue
-            if worker > len(pids):
-                read_fd, write_fd = os.pipe()
-                fds.append(read_fd)
-                try:
-                    pids.append(_fork())
-                    if not pids[-1]:
-                        _serve(write_fd, fds, worker, k, sep, chain([(index, (template, rows))], numbered))
-                        os._exit(0)
-                finally:
-                    # a child, whatever it raised from the fork on, leaves
-                    # here: it never flushes this process's buffers or runs
-                    # its cleanup
-                    if os.getpid() != parent:
-                        os._exit(1)
-                    os.close(write_fd)
-            deque(rows, 0)
-            yield _receive(fds[worker - 1], pids[worker - 1])
-        while pids:
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[-1], 0)[1])
-            pid = pids.pop()
-            if code:
-                raise ChildProcessError(f"row formatter {pid} exited with status {code}")
+        try:
+            pid = _fork()
+            if not pid:
+                # each odd block as its length in 8 bytes and then its UTF-8
+                # text, with surrogatepass so that every str survives
+                os.close(read_fd)
+                write = partial(os.write, write_fd)
+                for i in range(1, count, 2):
+                    data = text(i).encode("utf-8", "surrogatepass")
+                    _write_all(write, len(data).to_bytes(8, "little") + data)
+                os._exit(0)
+        finally:
+            # the child, whatever it raised from the fork on, leaves here: it
+            # never flushes this process's buffers or runs its cleanup
+            if os.getpid() != parent:
+                os._exit(1)
+            os.close(write_fd)
+        for i in range(count):
+            yield _receive(read_fd, pid) if i % 2 else text(i)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped, pid = pid, None
+        if code:
+            raise ChildProcessError(f"row formatter {reaped} exited with status {code}")
     finally:
         # after an early end (a failed write, a reader gone, an interrupt)
-        # a child still running fails its next write to the closed pipe
-        # (EPIPE, or SIGPIPE where that is not ignored) and exits
-        for fd in fds:
-            os.close(fd)
-        for pid in pids:
+        # the child, if still running, fails its next write to the closed
+        # pipe (EPIPE, or SIGPIPE where that is not ignored) and exits
+        os.close(read_fd)
+        if pid:
             os.waitpid(pid, 0)
 
 
-def _emit_blocks(args, columns, blocks, default="csv") -> None:
-    """Write a table given as ``blocks`` of columns, as CSV or JSON.
+def _emit_blocks(args, columns, count, block, default="csv") -> None:
+    """Write a table of ``count`` blocks, block i's columns being ``block(i)``, as CSV or JSON.
 
-    Each block is a sequence of equal-length columns of Python values, one
-    type per column.  JSON writes one object per row keyed by ``columns``, as
-    ``json.dumps(..., indent=2)`` does.  Each block is formatted with one
-    ``%`` template, ``_WRITE_ROWS`` rows at a time, and written as it comes
-    to ``--output`` if set, else to stdout.
+    Each block is a list of equal-length columns of Python values, one type
+    per column, of ``_BLOCK_ROWS`` rows but the last.  JSON writes one object
+    per row keyed by ``columns``, as ``json.dumps(..., indent=2)`` does.  Each
+    block is formatted with one ``%`` template and written as it comes to
+    ``--output`` if set, else to stdout.
 
-    The pieces of ``_WRITE_ROWS`` rows are numbered across the table, and
-    with k workers, the usable CPUs but at most ``_MAX_WORKERS``, piece i is
-    formatted by worker i % k.  Worker 0 is this process; worker w > 0 is a
-    child forked when piece w comes, which walks the same pieces from there
-    on and sends its own down a pipe.  So a table of one piece forks nothing.
-    This process alone writes, each piece in table order, so the bytes are
-    those of one process formatting every row.
+    Where this process may run on two or more CPUs and the table has two or
+    more blocks, one child is forked before the first block: it builds and
+    formats the odd blocks and sends each down a pipe, while this process
+    builds and formats the even ones.  This process alone writes, each block
+    in table order, so the bytes are those of one process formatting every
+    row.
 
-    Every worker runs ``blocks`` to its end, so from the fork on it must give
-    the same values in every process, have no side effects (read no input,
-    write nothing, change no state that outlives it) and call no BLAS: a
-    child has none of numpy's BLAS threads, and a lock that one of them held
-    at the fork stays held there.
+    ``block`` runs in the child too, so it must give the same values in
+    both processes, have no side effects (read no input, write nothing,
+    change no state that outlives it) and call no BLAS: a child has none of
+    numpy's BLAS threads, and a lock that one of them held at the fork stays
+    held there.
     """
     as_json = (args.format or default) == "json"
     if as_json:
@@ -298,7 +257,8 @@ def _emit_blocks(args, columns, blocks, default="csv") -> None:
     else:
         start = empty = ",".join(columns) + "\n"
         sep = end = "\n"
-    texts = _formatted(_pieces(columns, blocks, as_json), sep)
+    keys = [json.dumps(c).replace("%", "%%") for c in columns]
+    texts = _formatted(count, lambda i: _format_block(columns, keys, block(i), as_json, sep))
     with _output(args) as out, closing(texts):
         lead = None
         for text in texts:
@@ -311,16 +271,18 @@ def _emit_table(args, columns, rows, payload=None, default="csv") -> None:
     """Write ``rows`` (tuples of Python values, one type per column) as CSV or JSON.
 
     JSON writes ``payload`` if one is given, else what :func:`_emit_blocks`
-    writes for the rows taken ``_SWEEP_BLOCK`` at a time.
+    writes for the rows taken ``_BLOCK_ROWS`` at a time.
     """
     if payload is not None and (args.format or default) == "json":
         with _output(args) as out:
             _write(out, json.dumps(payload, indent=2) + "\n")
         return
-    rows = iter(rows)
-    # the next rows transposed into columns, until an empty block
-    blocks = iter(lambda: list(zip(*islice(rows, _SWEEP_BLOCK))), [])
-    _emit_blocks(args, columns, blocks, default)
+    rows = list(rows)
+
+    def block(i):
+        return list(zip(*rows[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS]))
+
+    _emit_blocks(args, columns, -(-len(rows) // _BLOCK_ROWS), block, default)
 
 
 def _cmd_coeffs(args) -> int:
@@ -357,6 +319,8 @@ def _cmd_sweep(args) -> int:
         raise DomainError("--x-max must be <= -1-1e-6: the bracket is certified only below -1")
     if not args.x_min < args.x_max:
         raise DomainError("--x-min must be < --x-max")
+    if not math.isfinite(args.x_min):
+        raise DomainError("--x-min must be finite")
     grid = _sweep_grid(args.x_min, args.x_max, args.points, args.log_grid)
     cols = [
         grid,
@@ -367,13 +331,12 @@ def _cmd_sweep(args) -> int:
     if args.with_taylor:
         cols += [taylor_eval(2 * args.n - 1, grid), taylor_eval(2 * args.n, grid)]
 
-    def blocks():
+    def block(i):
         # Python floats one block at a time: the full table is never built
-        for i in range(0, grid.size, _SWEEP_BLOCK):
-            block = [c[i:i + _SWEEP_BLOCK].tolist() for c in cols]
-            yield block if args.with_taylor else block + [[None] * len(block[0])] * 2
+        cells = [c[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS].tolist() for c in cols]
+        return cells if args.with_taylor else cells + [[None] * len(cells[0])] * 2
 
-    _emit_blocks(args, SWEEP_COLUMNS, blocks())
+    _emit_blocks(args, SWEEP_COLUMNS, -(-grid.size // _BLOCK_ROWS), block)
     return 0
 
 

@@ -1,9 +1,11 @@
 import argparse
 import csv
+import errno
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -15,7 +17,7 @@ from mpmath import mp
 import chebbound as cb
 import oracles
 import chebbound.cli as cli_mod
-from chebbound.cli import _SWEEP_BLOCK, _WRITE_ROWS, SWEEP_HEADER, _emit_table, main
+from chebbound.cli import _BLOCK_ROWS, SWEEP_HEADER, _emit_blocks, _emit_table, main
 
 
 @pytest.fixture
@@ -60,18 +62,13 @@ def _no_child_is_left():
 
 
 def _workers(monkeypatch, count):
-    """Let the emitter run ``count`` workers: as many CPUs, and a cap no lower.
-
-    Each worker past the first is a forked process: a large count would fork
-    that many.
-    """
+    """Let the emitter see ``count`` CPUs that it may run on: from two, it forks one child."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    monkeypatch.setattr(cli_mod, "_MAX_WORKERS", max(count, cli_mod._MAX_WORKERS))
 
 
 @pytest.fixture(params=(1, 2, 3))
 def cpus(request, monkeypatch):
-    """The emitter's worker count, the number of CPUs that it may run on."""
+    """The number of CPUs that the emitter may run on."""
     _workers(monkeypatch, request.param)
     yield request.param
     _no_child_is_left()
@@ -98,9 +95,12 @@ class TestEmitTable:
         assert err == ""
         return out
 
-    @pytest.mark.parametrize("count", (1, 9, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, _SWEEP_BLOCK,
-                                       2 * _SWEEP_BLOCK + 3))
-    @pytest.mark.parametrize("nonfinite_from", (None, 0, _SWEEP_BLOCK))
+    # the last block is the child's (odd) at 2R and 3R + 1 rows, this
+    # process's at 2R + 1 and 16R + 3, and short at 2R + 1 and 3R + 1
+    @pytest.mark.parametrize("count", (1, 9, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS,
+                                       2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 1, 8 * _BLOCK_ROWS,
+                                       16 * _BLOCK_ROWS + 3))
+    @pytest.mark.parametrize("nonfinite_from", (None, 0, 8 * _BLOCK_ROWS))
     def test_matches_the_per_cell_text(self, capsys, cpus, count, nonfinite_from):
         rows = self._rows(count, nonfinite_from)
         assert self._emit(capsys, "json", self.COLUMNS, iter(rows)) == _reference_json(self.COLUMNS, rows)
@@ -115,42 +115,41 @@ class TestEmitTable:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        rows = self._rows(8 * _WRITE_ROWS)
+        rows = self._rows(8 * _BLOCK_ROWS)
         assert self._emit(capsys, "csv", self.COLUMNS, rows) == _reference_csv(self.COLUMNS, rows)
-        assert len(forks) == cli_mod._MAX_WORKERS - 1 == 1
+        assert len(forks) == 1
         _no_child_is_left()
 
     def test_a_child_that_fails_is_an_error_and_is_reaped(self, capsys, monkeypatch):
         _workers(monkeypatch, 2)
-        parent, format_piece = os.getpid(), cli_mod._format_piece
+        parent, format_block, write_all = os.getpid(), cli_mod._format_block, cli_mod._write_all
 
         def fail_in_a_child():
             if os.getpid() != parent:
                 raise MemoryError
 
-        def rows_then_fail_in_a_child():
-            # the second block is taken after the fork
-            yield from self._rows(_SWEEP_BLOCK + 1)
-            fail_in_a_child()
-
-        # before it sends the piece it owes
-        monkeypatch.setattr(cli_mod, "_format_piece", lambda *args: fail_in_a_child() or format_piece(*args))
+        # before it sends the block it owes
+        monkeypatch.setattr(cli_mod, "_format_block", lambda *args: fail_in_a_child() or format_block(*args))
         with pytest.raises(ChildProcessError, match="row formatter .* stopped before the end"):
-            self._emit(capsys, "csv", self.COLUMNS, self._rows(3 * _WRITE_ROWS))
+            self._emit(capsys, "csv", self.COLUMNS, self._rows(3 * _BLOCK_ROWS))
         _no_child_is_left()
-        # after its last piece
-        monkeypatch.setattr(cli_mod, "_format_piece", format_piece)
+        # after its last block, the only one of three
+        monkeypatch.setattr(cli_mod, "_format_block", format_block)
+        monkeypatch.setattr(cli_mod, "_write_all", lambda *args: write_all(*args) or fail_in_a_child())
         with pytest.raises(ChildProcessError, match="row formatter .* exited with status 1"):
-            self._emit(capsys, "csv", self.COLUMNS, rows_then_fail_in_a_child())
+            self._emit(capsys, "csv", self.COLUMNS, self._rows(3 * _BLOCK_ROWS))
         _no_child_is_left()
 
     def test_a_child_leaves_through_os_exit_whatever_it_raises(self, capsys, monkeypatch, tmp_path):
-        # an interrupt in the child before it starts serving: it must not
+        # an interrupt in the child before it sends its first block: it must not
         # unwind into this process's stack and run its cleanup twice
         _workers(monkeypatch, 2)
+        parent, format_block = os.getpid(), cli_mod._format_block
 
         def interrupted(*args):
-            raise KeyboardInterrupt
+            if os.getpid() != parent:
+                raise KeyboardInterrupt
+            return format_block(*args)
 
         exits, exit_ = tmp_path / "exits", os._exit
 
@@ -158,28 +157,61 @@ class TestEmitTable:
             exits.write_text(str(status))
             exit_(status)
 
-        monkeypatch.setattr(cli_mod, "_serve", interrupted)
+        monkeypatch.setattr(cli_mod, "_format_block", interrupted)
         monkeypatch.setattr(os, "_exit", recorded_exit)
         with pytest.raises(ChildProcessError, match="row formatter .* stopped before the end"):
-            self._emit(capsys, "csv", self.COLUMNS, self._rows(3 * _WRITE_ROWS))
+            self._emit(capsys, "csv", self.COLUMNS, self._rows(3 * _BLOCK_ROWS))
         assert exits.read_text() == "1"
         _no_child_is_left()
 
     def test_a_failed_write_ends_and_reaps_every_child(self, capsys, monkeypatch):
-        # /dev/full refuses the first piece, before any child exists
         _workers(monkeypatch, 3)
         writes = []
 
-        def full_from_the_third_piece(out, text):
-            # pieces 1 and 2 came from two children, which are still running
+        def full_from_the_third_block(out, text):
+            # block 1 came from the child, which still owes blocks 3 and 5
             writes.append(text)
             if len(writes) > 2:
                 raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(cli_mod, "_write", full_from_the_third_piece)
+        monkeypatch.setattr(cli_mod, "_write", full_from_the_third_block)
         with pytest.raises(OSError, match="No space"):
-            self._emit(capsys, "csv", self.COLUMNS, self._rows(6 * _WRITE_ROWS))
+            self._emit(capsys, "csv", self.COLUMNS, self._rows(6 * _BLOCK_ROWS))
         _no_child_is_left()
+
+    def test_each_block_is_built_once_and_the_odd_ones_in_the_child(self, capsys, cpus, tmp_path):
+        built = tmp_path / "built"
+        fd = os.open(built, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        rows = self._rows(5 * _BLOCK_ROWS + 1)
+
+        def block(i):
+            os.write(fd, f"{i} {os.getpid()}\n".encode())
+            return list(zip(*rows[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS]))
+
+        try:
+            _emit_blocks(argparse.Namespace(format="csv", output=None), self.COLUMNS, 6, block)
+        finally:
+            os.close(fd)
+        assert capsys.readouterr() == (_reference_csv(self.COLUMNS, rows), "")
+        pids = dict(map(int, line.split()) for line in built.read_text().splitlines())
+        assert sorted(pids) == list(range(6)) and len(built.read_text().splitlines()) == 6
+        here = os.getpid()
+        assert [pids[i] == here for i in range(6)] == [True, cpus == 1] * 3
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc/self/fd")
+    def test_a_failed_fork_is_exit_1_and_leaves_no_fd_open(self, run_cli, monkeypatch):
+        _workers(monkeypatch, 2)
+        refused = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        def fork():
+            raise refused
+
+        monkeypatch.setattr(os, "fork", fork)
+        before = sorted(os.listdir("/proc/self/fd"))
+        code, out, err = run_cli(["sweep", "--n", "2", "--x-min=-4", "--x-max=-2", "--points", "1025"])
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert (code, out) == (1, "")
+        assert err == f"chebbound sweep: error: {refused}\n"
 
     def test_the_fork_warning_of_a_threaded_process_is_ignored(self, capsys, monkeypatch):
         _workers(monkeypatch, 2)
@@ -195,7 +227,7 @@ class TestEmitTable:
             return pid
 
         monkeypatch.setattr(os, "fork", warning_fork)
-        rows = self._rows(3 * _WRITE_ROWS)
+        rows = self._rows(3 * _BLOCK_ROWS)
         assert self._emit(capsys, "csv", self.COLUMNS, rows) == _reference_csv(self.COLUMNS, rows)
         _no_child_is_left()
 
@@ -231,7 +263,7 @@ class TestEmitTable:
                 self.data += bytes(b[:1000])
                 return min(len(b), 1000)
 
-        rows = self._rows(2 * _SWEEP_BLOCK + 3, nonfinite_from=0)
+        rows = self._rows(16 * _BLOCK_ROWS + 3, nonfinite_from=0)
         raw = ShortRaw()
         monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
         for fmt, reference in (("json", _reference_json), ("csv", _reference_csv)):
@@ -242,9 +274,13 @@ class TestEmitTable:
     def test_a_column_of_mixed_types_is_refused(self, capsys, cpus):
         with pytest.raises(TypeError, match="'f' mixes"):
             self._emit(capsys, "csv", ("f",), [(1.0,), (None,)])
-        # in a later block, after the children were forked: this process raises
+        # in block 2, after the child was forked: this process builds it and raises
         with pytest.raises(TypeError, match="'f' mixes"):
-            self._emit(capsys, "csv", ("f",), [(1.0,)] * _SWEEP_BLOCK + [(1.0,), (None,)])
+            self._emit(capsys, "csv", ("f",), [(1.0,)] * 2 * _BLOCK_ROWS + [(1.0,), (None,)])
+        # in block 1, which the child builds where there are two CPUs: it fails
+        with pytest.raises(TypeError if cpus == 1 else ChildProcessError,
+                           match="'f' mixes" if cpus == 1 else "row formatter .* stopped before the end"):
+            self._emit(capsys, "csv", ("f",), [(1.0,)] * _BLOCK_ROWS + [(1.0,), (None,)])
 
 
 class TestCoeffs:
@@ -394,6 +430,8 @@ class TestSweep:
             ["sweep", "--n", "2", "--x-min", "-4", "--x-max", "-1.01", "--points", "1"],
             ["sweep", "--n", "2", "--x-min", "-1.01", "--x-max", "-4", "--points", "10"],
             ["sweep", "--n", "0", "--x-min", "-4", "--x-max", "-1.01", "--points", "10"],
+            ["sweep", "--n", "2", "--x-min=-inf", "--x-max", "-1.01", "--points", "10"],
+            ["sweep", "--n", "2", "--x-min=-inf", "--x-max", "-1.01", "--points", "10", "--log-grid"],
         ),
     )
     def test_domain_violations(self, run_cli, bad):
@@ -643,7 +681,8 @@ def test_reader_leaving_early_is_a_quiet_success():
         try:
             assert proc.wait(timeout=120) == 0
         except subprocess.TimeoutExpired:
-            proc.kill()
+            # the whole session: a hung sweep's formatter child too
+            os.killpg(proc.pid, signal.SIGKILL)
             raise
         assert proc.stderr.read() == b""
     _no_process_is_left(proc)
@@ -656,7 +695,7 @@ def test_write_error_is_exit_1_with_the_message():
         try:
             _, err = proc.communicate(timeout=120)
         except subprocess.TimeoutExpired:
-            proc.kill()
+            os.killpg(proc.pid, signal.SIGKILL)
             raise
     assert proc.returncode == 1
     assert err == "chebbound sweep: error: [Errno 28] No space left on device\n"
