@@ -4,14 +4,17 @@ Data goes to stdout (or ``--output``), diagnostics to stderr.  No timestamps,
 '.' decimal separator, floats that round-trip exactly (17 significant digits
 in CSV, ``repr`` in JSON).  Output is deterministic for a given numpy build
 and CPU feature set: ``sweep``'s ``exp`` column and its ``--log-grid`` x values
-come from numpy's ``exp`` and ``geomspace``, whose AVX-512 path can differ
-from the others in the last bit.
+come from numpy's ``exp``, and ``log10`` and ``power``, whose AVX-512 paths
+can differ from the others in the last bit.
 
 A table is written in blocks of ``_BLOCK_ROWS`` rows.  Where the process may
-run on two or more CPUs, a table of two or more blocks is formatted by this
-process and one forked child, the child taking the odd blocks; this process
-writes every block in table order, so the bytes do not depend on the number
-of CPUs.
+run on two or more CPUs (its affinity mask and its cgroup CPU quota both
+allow two), a table of two or more blocks is formatted by this process and
+one forked child, the child taking the odd blocks; this process writes every
+block in table order, so the bytes do not depend on the number of CPUs.
+``sweep`` computes its grid and columns ``_CHUNK_ROWS`` rows at a time, in
+each process for the blocks that it formats, so its memory does not grow
+with ``--points``.
 
 Exit codes: 0 success, 1 any rejected certificate (``certify`` only), a
 failed write or a failed row formatter, 2 invalid arguments or domain
@@ -31,7 +34,7 @@ import re
 import sys
 import warnings
 from contextlib import closing, nullcontext
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -54,6 +57,10 @@ SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 # and 121 KB of JSON), so the strings reuse heap memory whatever large arrays
 # the process freed before
 _BLOCK_ROWS = 512
+# rows per chunk of a sweep: its grid and columns are computed a chunk at a
+# time, so a sweep's memory does not grow with --points; a whole number of
+# blocks, so that no block spans two chunks
+_CHUNK_ROWS = 16 * _BLOCK_ROWS
 # the DeprecationWarning that os.fork gives from Python 3.12 where the
 # process has more than one thread
 _FORK_WITH_THREADS = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
@@ -165,9 +172,9 @@ def _format_block(columns, keys, block, as_json, sep) -> str:
 def _fork() -> int:
     with warnings.catch_warnings():
         # numpy's BLAS threads make this process multi-threaded, but a
-        # formatter child runs only the table's blocks, which call no BLAS
-        # (see _emit_blocks), % formatting and os.write, and leaves through
-        # os._exit
+        # formatter child runs only the table's blocks, which may run numpy's
+        # ufuncs but call no BLAS (see _emit_blocks), % formatting and
+        # os.write, and leaves through os._exit
         warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
         return os.fork()
 
@@ -188,10 +195,49 @@ def _receive(fd, pid) -> str:
     return _read(fd, size, pid).decode("utf-8", "surrogatepass")
 
 
+def _cpu_quota(cgroup="/proc/self/cgroup", root="/sys/fs/cgroup"):
+    """The CPUs that this process's cgroup quota allows, or None: no quota, or none that can be read.
+
+    The group is the one that ``cgroup`` names.  cgroup v2 keeps the quota in
+    its ``cpu.max`` ("max" or "QUOTA PERIOD"), v1 in ``cpu.cfs_quota_us``
+    (-1 for none) over ``cpu.cfs_period_us``, under ``root``.
+    """
+    try:
+        with open(cgroup) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return None
+    for line in lines:
+        try:
+            _, controllers, path = line.split(":", 2)
+            group = os.path.join(root, controllers, path.lstrip("/"))
+            if not controllers:
+                with open(os.path.join(group, "cpu.max")) as f:
+                    quota, period = f.read().split()
+            elif "cpu" in controllers.split(","):
+                with open(os.path.join(group, "cpu.cfs_quota_us")) as f, \
+                        open(os.path.join(group, "cpu.cfs_period_us")) as g:
+                    quota, period = f.read().strip(), g.read().strip()
+            else:
+                continue
+            return None if quota in ("max", "-1") else int(quota) / int(period)
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return None
+
+
+def _two_cpus() -> bool:
+    """Whether both this process's affinity mask and its cgroup quota let it run on two CPUs at once."""
+    # sched_getaffinity exists on Linux only
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    quota = _cpu_quota()
+    return quota is None or quota >= 2
+
+
 def _formatted(count, text):
     """``text(i)`` for each of the ``count`` blocks, in table order, as :func:`_emit_blocks` describes."""
-    # sched_getaffinity exists on Linux only
-    if count < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+    if count < 2 or not _two_cpus():
         yield from map(text, range(count))
         return
     parent, pid = os.getpid(), None
@@ -246,10 +292,12 @@ def _emit_blocks(args, columns, count, block, default="csv") -> None:
     row.
 
     ``block`` runs in the child too, so it must give the same values in
-    both processes, have no side effects (read no input, write nothing,
-    change no state that outlives it) and call no BLAS: a child has none of
-    numpy's BLAS threads, and a lock that one of them held at the fork stays
-    held there.
+    both processes and have no side effects (read no input, write nothing,
+    change no state that outlives it but a cache of what it computed, which
+    each process then holds for itself; blocks come in increasing order in
+    each).  It may run numpy's ufuncs, but must call no BLAS: a child has
+    none of numpy's BLAS threads, and a lock that one of them held at the
+    fork stays held there.
     """
     as_json = (args.format or default) == "json"
     if as_json:
@@ -304,10 +352,27 @@ def _cmd_enclose(args) -> int:
     return 0
 
 
-def _sweep_grid(x_min: float, x_max: float, points: int, log_grid: bool) -> np.ndarray:
+def _sweep_grid(x_min: float, x_max: float, points: int, log_grid: bool, start: int, stop: int) -> np.ndarray:
+    """Rows ``start..stop-1`` of the sweep's grid, with the bits of ``np.linspace`` over all ``points``.
+
+    ``log_grid`` gives those of ``-np.geomspace(-x_min, -x_max, points)``: 10 to
+    the power of a linear grid between numpy's ``log10`` of the two ends,
+    which are then set exactly.
+    """
     if log_grid:
-        return -np.geomspace(-x_min, -x_max, points)
-    return np.linspace(x_min, x_max, points)
+        lo, hi = np.log10(-x_min), np.log10(-x_max)
+    else:
+        lo, hi = x_min, x_max
+    rows = np.arange(start, stop, dtype=np.float64)
+    rows *= (hi - lo) / (points - 1)
+    rows += lo
+    if log_grid:
+        rows = -np.power(10.0, rows)
+    if start == 0:
+        rows[0] = x_min
+    if stop == points:
+        rows[-1] = x_max
+    return rows
 
 
 def _cmd_sweep(args) -> int:
@@ -321,22 +386,26 @@ def _cmd_sweep(args) -> int:
         raise DomainError("--x-min must be < --x-max")
     if not math.isfinite(args.x_min):
         raise DomainError("--x-min must be finite")
-    grid = _sweep_grid(args.x_min, args.x_max, args.points, args.log_grid)
-    cols = [
-        grid,
-        clenshaw_eval(partial_sum(2 * args.n - 1), grid),
-        clenshaw_eval(partial_sum(2 * args.n), grid),
-        np.exp(grid),
-    ]
-    if args.with_taylor:
-        cols += [taylor_eval(2 * args.n - 1, grid), taylor_eval(2 * args.n, grid)]
+    lower, upper = partial_sum(2 * args.n - 1), partial_sum(2 * args.n)
+
+    # blocks come in increasing order, so each process computes each chunk
+    # once, and only the chunk of its last block is held
+    @lru_cache(maxsize=1)
+    def chunk(j):
+        grid = _sweep_grid(args.x_min, args.x_max, args.points, args.log_grid,
+                           j * _CHUNK_ROWS, min((j + 1) * _CHUNK_ROWS, args.points))
+        cols = [grid, clenshaw_eval(lower, grid), clenshaw_eval(upper, grid), np.exp(grid)]
+        if args.with_taylor:
+            cols += [taylor_eval(2 * args.n - 1, grid), taylor_eval(2 * args.n, grid)]
+        return cols
 
     def block(i):
         # Python floats one block at a time: the full table is never built
-        cells = [c[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS].tolist() for c in cols]
+        j, row = divmod(i * _BLOCK_ROWS, _CHUNK_ROWS)
+        cells = [c[row:row + _BLOCK_ROWS].tolist() for c in chunk(j)]
         return cells if args.with_taylor else cells + [[None] * len(cells[0])] * 2
 
-    _emit_blocks(args, SWEEP_COLUMNS, -(-grid.size // _BLOCK_ROWS), block)
+    _emit_blocks(args, SWEEP_COLUMNS, -(-args.points // _BLOCK_ROWS), block)
     return 0
 
 

@@ -61,9 +61,11 @@ def _no_child_is_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _workers(monkeypatch, count):
-    """Let the emitter see ``count`` CPUs that it may run on: from two, it forks one child."""
+def _workers(monkeypatch, count, quota=None):
+    """Let the emitter see ``count`` CPUs that it may run on, under a cgroup quota of ``quota`` CPUs
+    (None: no quota): where both allow two, it forks one child."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(cli_mod, "_cpu_quota", lambda: quota)
 
 
 @pytest.fixture(params=(1, 2, 3))
@@ -107,7 +109,7 @@ class TestEmitTable:
         assert self._emit(capsys, "csv", self.COLUMNS, iter(rows)) == _reference_csv(self.COLUMNS, rows)
 
     def test_workers_are_capped_below_the_cpu_count(self, capsys, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        _workers(monkeypatch, 4)
         fork, forks = os.fork, []
 
         def counted_fork():
@@ -283,6 +285,57 @@ class TestEmitTable:
             self._emit(capsys, "csv", ("f",), [(1.0,)] * _BLOCK_ROWS + [(1.0,), (None,)])
 
 
+class TestCpuQuota:
+    """The quota read from the cgroup that a /proc/self/cgroup file names."""
+
+    def _quota(self, tmp_path, cgroup, files):
+        (tmp_path / "cgroup").write_text(cgroup)
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        return cli_mod._cpu_quota(str(tmp_path / "cgroup"), str(tmp_path))
+
+    @pytest.mark.parametrize("cgroup, files, quota", (
+        # v2
+        ("0::/job\n", {"job/cpu.max": "150000 100000\n"}, 1.5),
+        ("0::/\n", {"cpu.max": "max 100000\n"}, None),
+        # v1, with the controllers mounted together or alone
+        ("5:memory:/x\n4:cpu,cpuacct:/job\n",
+         {"cpu,cpuacct/job/cpu.cfs_quota_us": "200000\n", "cpu,cpuacct/job/cpu.cfs_period_us": "100000\n"}, 2.0),
+        ("1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        # hybrid: the v2 group has no cpu.max, the v1 cpu group has the quota
+        ("0::/\n1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 0.5),
+        # missing or unreadable: the affinity mask alone decides
+        ("0::/job\n", {}, None),
+        ("1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "50000\n"}, None),
+        ("0::/\n", {"cpu.max": "lots\n"}, None),
+        ("0::/\n", {"cpu.max": "100000 0\n"}, None),
+        ("garbled\n", {}, None),
+    ))
+    def test_v1_and_v2(self, tmp_path, cgroup, files, quota):
+        assert self._quota(tmp_path, cgroup, files) == quota
+
+    def test_no_cgroup_file_is_no_quota(self, tmp_path):
+        assert cli_mod._cpu_quota(str(tmp_path / "absent"), str(tmp_path)) is None
+
+    @pytest.mark.parametrize("quota, forks", ((None, True), (4.0, True), (2.0, True), (1.5, False), (1.0, False)))
+    def test_a_sweep_forks_only_where_the_quota_allows_two_cpus(self, run_cli, monkeypatch, quota, forks):
+        _workers(monkeypatch, 4, quota)
+        fork, pids = os.fork, []
+
+        def counted_fork():
+            pids.append(fork())
+            return pids[-1]
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        argv = ["sweep", "--n", "2", "--x-min=-4", "--x-max=-2", "--points", "1025"]
+        code, out, err = run_cli(argv)
+        assert (code, err, len(pids)) == (0, "", int(forks))
+        _workers(monkeypatch, 1)
+        assert run_cli(argv) == (0, out, "")
+        _no_child_is_left()
+
+
 class TestCoeffs:
     def test_three_rows(self, run_cli):
         code, out, err = run_cli(["coeffs", "--n", "2"])
@@ -445,6 +498,92 @@ class TestSweep:
         payload = json.loads(out)
         assert len(payload) == 4
         assert payload[0]["taylor_lower"] is None
+
+
+C = cli_mod._CHUNK_ROWS
+
+
+def _grid_triples():
+    rng = np.random.default_rng(2025)
+    triples = [(-30.0, -1.01, 2), (-30.0, -1.01, C - 1), (-30.0, -1.01, C), (-30.0, -1.01, C + 1),
+               (-1e300, -2.0, 2), (-1e300, -2.0, C + 1), (-1e300, -1.000001, 3 * C + 5),
+               # one float apart, with equal log10: every log-grid row but the ends is one value
+               (float(np.nextafter(-1e4, -np.inf)), -1e4, C + 1)]
+    for _ in range(300):
+        x_max = -1.0 - 10.0 ** rng.uniform(-6, 4)
+        x_min = x_max - 10.0 ** rng.uniform(-9, 300 if rng.random() < 0.1 else 5)
+        triples.append((x_min, x_max, int(rng.integers(2, 3 * C + 3))))
+    return triples
+
+
+class TestSweepGrid:
+    """The chunked grid, joined, against the whole-array numpy grid it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("log_grid", (False, True), ids=("linear", "log"))
+    def test_chunks_join_to_the_numpy_grid(self, log_grid):
+        triples = _grid_triples()
+        x_min, x_max, _ = triples[7]
+        assert x_min < x_max and np.log10(-x_min) == np.log10(-x_max)
+        for x_min, x_max, points in triples:
+            whole = -np.geomspace(-x_min, -x_max, points) if log_grid else np.linspace(x_min, x_max, points)
+            joined = np.concatenate([cli_mod._sweep_grid(x_min, x_max, points, log_grid, start,
+                                                         min(start + C, points))
+                                     for start in range(0, points, C)])
+            assert joined.tobytes() == whole.tobytes(), (x_min, x_max, points)
+
+    def test_each_process_computes_each_chunk_once(self, run_cli, cpus, tmp_path):
+        computed = tmp_path / "computed"
+        fd = os.open(computed, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        sweep_grid = cli_mod._sweep_grid
+
+        def recorded(x_min, x_max, points, log_grid, start, stop):
+            os.write(fd, f"{os.getpid()} {start} {stop}\n".encode())
+            return sweep_grid(x_min, x_max, points, log_grid, start, stop)
+
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli_mod, "_sweep_grid", recorded)
+                code, out, err = run_cli(["sweep", "--n", "2", "--x-min=-4", "--x-max=-2",
+                                          "--points", str(2 * C + 1)])
+        finally:
+            os.close(fd)
+        assert (code, err, out.count("\n")) == (0, "", 2 * C + 2)
+        chunks = {}
+        for line in computed.read_text().splitlines():
+            pid, start, stop = map(int, line.split())
+            chunks.setdefault(pid, []).append((start, stop))
+        # the last chunk, of one row, is in block 2 * 16, an even one
+        here = chunks.pop(os.getpid())
+        assert here == [(0, C), (C, 2 * C), (2 * C, 2 * C + 1)]
+        assert list(chunks.values()) == ([] if cpus == 1 else [[(0, C), (C, 2 * C)]])
+
+
+# a process's peak resident size starts, at its exec, at the peak of the
+# memory it had before (its parent's, after a fork or a vfork), so a small
+# interpreter starts each sweep rather than this one
+PEAK_RSS = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "chebbound", *sys.argv[1:]], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(argv):
+    out = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    code, kilobytes = map(int, out.split())
+    assert code == 0
+    return kilobytes / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_sweep_memory_does_not_grow_with_its_points():
+    argv = ["sweep", "--n", "10", "--x-min=-30", "--x-max=-1.01", "--with-taylor", "--points"]
+    small, large = _peak_rss_mb(argv + ["2000"]), _peak_rss_mb(argv + ["400000"])
+    # the six float64 columns of 400k rows alone would take 19.2 MB
+    assert large - small < 4.0, (small, large)
 
 
 class TestCertify:

@@ -5,7 +5,10 @@ emitter were merged, and pin every byte of that output.  The ``block_*``
 and ``nonfinite`` cases were added, with digests from the same emitter,
 before the emitter began writing its tables block by block: their sweeps
 cross several 4096-row blocks, and the nonfinite one prints ``NaN`` and
-``Infinity`` cells.  When the coefficients a_k became correctly rounded
+``Infinity`` cells.  The ``chunk*`` cases, with digests from the emitter
+that computed each column over the whole grid, cross the 8192-row chunks in
+which ``sweep`` now computes its grid and columns, or stop one row short of
+one.  When the coefficients a_k became correctly rounded
 (1 to 4 ulps moved at 105 of the orders 0..150), every case that prints a
 coefficient or a bracket took new digests; the ``x``, ``exp`` and Maclaurin
 columns kept their bytes, and each bracket cell moved by less than
@@ -26,6 +29,11 @@ from chebbound.cli import main
 
 SWEEP = ["sweep", "--n", "3", "--x-min=-40", "--x-max=-1.01", "--points", "2000"]
 BLOCKS = ["sweep", "--n", "3", "--x-min=-40", "--x-max=-1.01", "--points", "10001"]
+# 2C + 1 and C - 1 rows, C = 8192 being the rows of one chunk of a sweep
+CHUNKS = ["sweep", "--n", "3", "--x-min=-40", "--x-max=-1.01", "--points", "16385"]
+SHORT = ["sweep", "--n", "3", "--x-min=-40", "--x-max=-1.01", "--points", "8191"]
+LOG_CHUNKS = ["sweep", "--n", "8", "--x-min=-1e4", "--x-max=-1.001", "--log-grid", "--points", "16385"]
+LOG_SHORT = ["sweep", "--n", "8", "--x-min=-1e4", "--x-max=-1.001", "--log-grid", "--points", "8191"]
 
 GOLDEN = {
     "coeffs_csv": (["coeffs", "--n", "12"],
@@ -87,6 +95,19 @@ GOLDEN = {
     "block_log_json": (BLOCKS + ["--log-grid", "--format", "json"],
                        "c7ba54d6185dc0e139d7ae2fa4874a8c5c3daced5cd290067d36a96980132fc0",
                        "25bed6fd589938c4759bc129e5177a51f93bd72f5376f47683eda1e317bee885"),
+    # across the sweep's chunks: the last of 2C + 1 rows has one row
+    "chunks_taylor_csv": (CHUNKS + ["--with-taylor"],
+                          "46980531770f535b0f12593a0a85b0709f933a0e672e41e07a64a6bb003071b0",
+                          "281e757a7efdd7a2f3a043c2d3962e1cc52b31b6a9cf3638dc5e2caf28278f1b"),
+    "chunk_short_taylor_json": (SHORT + ["--with-taylor", "--format", "json"],
+                                "4aa4334f47ebdad2aaa46ee04ad94aac031f65b241536817a2904476ec2bd5b0",
+                                "7ebd9c5f69523d87c20230e5e5b3aa5b474bcf715190015ab3ea67227fe181d6"),
+    "chunks_log_taylor_json": (LOG_CHUNKS + ["--with-taylor", "--format", "json"],
+                               "08982d2b98e21c4142c85baf18ba57e5c67267e9a0d98e197b9794c78ef612fd",
+                               "9e695ca83ac914e118fc6e31e9c140c8bdeb5204bb0d91693a54a7072398ca37"),
+    "chunk_short_log_taylor_csv": (LOG_SHORT + ["--with-taylor"],
+                                   "5983bb725b75c047d60570960d3a1bdcb5f579ec5447242d92d9836759050613",
+                                   "61aa4f6323a381e8c338cce7f31a9183d911243115512cc981bb3f58947b294c"),
     # the bracket and Maclaurin columns overflow to NaN and +-inf far from -1
     "nonfinite_log_taylor_json": (["sweep", "--n", "4", "--x-min=-1e300", "--x-max=-2", "--log-grid",
                                    "--points", "3000", "--format", "json", "--with-taylor"],
