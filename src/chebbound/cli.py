@@ -195,31 +195,53 @@ def _receive(fd, pid) -> str:
     return _read(fd, size, pid).decode("utf-8", "surrogatepass")
 
 
-def _cpu_quota(cgroup="/proc/self/cgroup", root="/sys/fs/cgroup"):
+def _cgroup_dir(mounts, v2, path):
+    """The directory of the group at ``path`` in the v2 hierarchy, or else the v1 one with the cpu controller.
+
+    ``mounts`` are the lines of a mountinfo file.  A mount shows its
+    hierarchy from the mount's root on (in a container without a cgroup
+    namespace, the group that the container was started in), so ``path``
+    is taken relative to that root; a group outside it is not shown there.
+    """
+    for line in mounts:
+        fields = line.split()
+        fstype, *_, options = fields[fields.index("-") + 1:]
+        if fstype != ("cgroup2" if v2 else "cgroup") or not v2 and "cpu" not in options.split(","):
+            continue
+        # mountinfo writes a space, tab, newline or backslash as \ooo
+        root, point = (re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), f) for f in fields[3:5])
+        rel = os.path.relpath(path, root)
+        if rel.split(os.sep)[0] != os.pardir:
+            return os.path.normpath(os.path.join(point, rel))
+    raise FileNotFoundError(f"no mount shows cgroup {path}")
+
+
+def _cpu_quota(cgroup="/proc/self/cgroup", mountinfo="/proc/self/mountinfo"):
     """The CPUs that this process's cgroup quota allows, or None: no quota, or none that can be read.
 
-    The group is the one that ``cgroup`` names.  cgroup v2 keeps the quota in
-    its ``cpu.max`` ("max" or "QUOTA PERIOD"), v1 in ``cpu.cfs_quota_us``
-    (-1 for none) over ``cpu.cfs_period_us``, under ``root``.
+    The group is the one that ``cgroup`` names, found where ``mountinfo``
+    mounts its hierarchy.  cgroup v2 keeps the quota in its ``cpu.max``
+    ("max" or "QUOTA PERIOD"), v1 in ``cpu.cfs_quota_us`` (-1 for none)
+    over ``cpu.cfs_period_us``.
     """
     try:
-        with open(cgroup) as f:
-            lines = f.read().splitlines()
+        with open(cgroup) as f, open(mountinfo) as g:
+            lines, mounts = f.read().splitlines(), g.read().splitlines()
     except OSError:
         return None
     for line in lines:
         try:
             _, controllers, path = line.split(":", 2)
-            group = os.path.join(root, controllers, path.lstrip("/"))
+            if controllers and "cpu" not in controllers.split(","):
+                continue
+            group = _cgroup_dir(mounts, not controllers, path)
             if not controllers:
                 with open(os.path.join(group, "cpu.max")) as f:
                     quota, period = f.read().split()
-            elif "cpu" in controllers.split(","):
+            else:
                 with open(os.path.join(group, "cpu.cfs_quota_us")) as f, \
                         open(os.path.join(group, "cpu.cfs_period_us")) as g:
                     quota, period = f.read().strip(), g.read().strip()
-            else:
-                continue
             return None if quota in ("max", "-1") else int(quota) / int(period)
         except (OSError, ValueError, ZeroDivisionError):
             continue
