@@ -47,7 +47,7 @@ end.  Each end keeps its own state and undergoes exactly the operations, in
 the same order, that ``taylor_kernel`` applies to it alone, so each end has
 the bits of its own sum, NaN and signed zero included.  The upper end takes
 its first step alone.  The Chebyshev bracket still runs ``clenshaw_kernel``
-once per end (ROADMAP item 8 says why); a rounding bound for the bracket
+once per end (ROADMAP item 16 says why); a rounding bound for the bracket
 (ROADMAP item 1, the Clenshaw form of Higham's running bound) belongs in
 the one-pass loops.
 """

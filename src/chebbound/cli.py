@@ -12,15 +12,16 @@ run on two or more CPUs (its affinity mask and its cgroup CPU quota both
 allow two), a table of two or more blocks is formatted by this process and
 one forked child, the child taking the odd blocks; this process writes every
 block in table order, so the bytes do not depend on the number of CPUs.
-``sweep`` computes its grid and columns ``_CHUNK_ROWS`` rows at a time, in
-each process for the blocks that it formats, so its memory does not grow
-with ``--points``.
+``sweep`` streams its blocks from its grid and columns, computed
+``_CHUNK_ROWS`` rows at a time in each process up to the last block that the
+process formats, so its memory does not grow with ``--points``.
 
 Exit codes: 0 success, 1 any rejected certificate (``certify`` only), a
-failed write or a failed row formatter, 2 invalid arguments or domain
-violations, each with one line on stderr.  Domain violations include inputs
-that need a coefficient a_k below the smallest normal float, k >= 151:
-``coeffs --n 151`` and above, bracket pairs ``--n 76`` and above.
+failed write, a failed row formatter or a failed allocation, 2 invalid
+arguments or domain violations, each with one line on stderr.  Domain
+violations include inputs that need a coefficient a_k below the smallest
+normal float, k >= 151: ``coeffs --n 151`` and above, bracket pairs ``--n
+76`` and above.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import re
 import sys
 import warnings
 from contextlib import closing, nullcontext
-from functools import lru_cache, partial
-from itertools import repeat
+from functools import partial
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .chebpoly import clenshaw_eval
 from .errors import DomainError
 from .expseries import (
     cheb_sandwich,
-    exp_cheb_coefficients,
     partial_sum,
     sup_error_comparison,
     taylor_eval,
@@ -159,6 +159,7 @@ def _output(args):
 
 def _format_block(columns, keys, block, as_json, sep) -> str:
     """One block's rows as text, each row through one ``%`` template, joined by ``sep``."""
+    block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
     fields, cells = zip(*map(_column, columns, block, repeat(as_json)))
     if as_json:
         template = "  {\n" + ",\n".join(f"    {k}: {f}" for k, f in zip(keys, fields)) + "\n  }"
@@ -179,20 +180,13 @@ def _fork() -> int:
         return os.fork()
 
 
-def _read(fd, size, pid) -> bytearray:
-    data = bytearray()
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            raise ChildProcessError(f"row formatter {pid} stopped before the end of the table")
-        data += chunk
-    return data
-
-
-def _receive(fd, pid) -> str:
-    """The next block's text that child ``pid`` sent down ``fd``."""
-    size = int.from_bytes(_read(fd, 8, pid), "little")
-    return _read(fd, size, pid).decode("utf-8", "surrogatepass")
+def _receive(pipe, pid) -> str:
+    """The next block's text that child ``pid`` sent down ``pipe``, whose ``read(n)`` ends short only at EOF."""
+    size = int.from_bytes(head := pipe.read(8), "little")
+    data = pipe.read(size)
+    if len(head) + len(data) < 8 + size:
+        raise ChildProcessError(f"row formatter {pid} stopped before the end of the table")
+    return data.decode("utf-8", "surrogatepass")
 
 
 def _cgroup_dir(mounts, v2, path):
@@ -257,23 +251,25 @@ def _two_cpus() -> bool:
     return quota is None or quota >= 2
 
 
-def _formatted(count, text):
-    """``text(i)`` for each of the ``count`` blocks, in table order, as :func:`_emit_blocks` describes."""
+def _formatted(count, blocks, text):
+    """``text(block)`` for each of the ``count`` blocks, in table order, as :func:`_emit_blocks` describes."""
     if count < 2 or not _two_cpus():
-        yield from map(text, range(count))
+        yield from map(text, blocks)
         return
     parent, pid = os.getpid(), None
     read_fd, write_fd = os.pipe()
+    pipe = open(read_fd, "rb")
     try:
         try:
             pid = _fork()
             if not pid:
                 # each odd block as its length in 8 bytes and then its UTF-8
-                # text, with surrogatepass so that every str survives
-                os.close(read_fd)
+                # text, with surrogatepass so that every str survives; the
+                # walk ends at the last odd block
+                pipe.close()
                 write = partial(os.write, write_fd)
-                for i in range(1, count, 2):
-                    data = text(i).encode("utf-8", "surrogatepass")
+                for block in islice(blocks, 1, count - count % 2, 2):
+                    data = text(block).encode("utf-8", "surrogatepass")
                     _write_all(write, len(data).to_bytes(8, "little") + data)
                 os._exit(0)
         finally:
@@ -282,8 +278,8 @@ def _formatted(count, text):
             if os.getpid() != parent:
                 os._exit(1)
             os.close(write_fd)
-        for i in range(count):
-            yield _receive(read_fd, pid) if i % 2 else text(i)
+        for i, block in enumerate(blocks):
+            yield _receive(pipe, pid) if i % 2 else text(block)
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         reaped, pid = pid, None
         if code:
@@ -292,43 +288,42 @@ def _formatted(count, text):
         # after an early end (a failed write, a reader gone, an interrupt)
         # the child, if still running, fails its next write to the closed
         # pipe (EPIPE, or SIGPIPE where that is not ignored) and exits
-        os.close(read_fd)
+        pipe.close()
         if pid:
             os.waitpid(pid, 0)
 
 
-def _emit_blocks(args, columns, count, block, default="csv") -> None:
-    """Write a table of ``count`` blocks, block i's columns being ``block(i)``, as CSV or JSON.
+def _emit_blocks(args, columns, count, blocks) -> None:
+    """Write a table of the ``count`` blocks that the iterable ``blocks`` gives in order, as CSV or JSON.
 
-    Each block is a list of equal-length columns of Python values, one type
-    per column, of ``_BLOCK_ROWS`` rows but the last.  JSON writes one object
-    per row keyed by ``columns``, as ``json.dumps(..., indent=2)`` does.  Each
-    block is formatted with one ``%`` template and written as it comes to
-    ``--output`` if set, else to stdout.
+    Each block is an iterable of equal-length columns, each a float64
+    ndarray or a sequence of Python values of one type, of ``_BLOCK_ROWS`` rows
+    but the last.  JSON writes one object per row keyed by ``columns``, as
+    ``json.dumps(..., indent=2)`` does.  Each block is formatted with one
+    ``%`` template, its arrays turned into Python floats only there, and
+    written as it comes to ``--output`` if set, else to stdout.
 
     Where this process may run on two or more CPUs and the table has two or
-    more blocks, one child is forked before the first block: it builds and
-    formats the odd blocks and sends each down a pipe, while this process
-    builds and formats the even ones.  This process alone writes, each block
-    in table order, so the bytes are those of one process formatting every
-    row.
+    more blocks, one child is forked before the first block: it formats the
+    odd blocks and sends each down a pipe, while this process formats the
+    even ones.  This process alone writes, each block in table order, so the
+    bytes are those of one process formatting every row.
 
-    ``block`` runs in the child too, so it must give the same values in
-    both processes and have no side effects (read no input, write nothing,
-    change no state that outlives it but a cache of what it computed, which
-    each process then holds for itself; blocks come in increasing order in
-    each).  It may run numpy's ufuncs, but must call no BLAS: a child has
-    none of numpy's BLAS threads, and a lock that one of them held at the
-    fork stays held there.
+    Each process walks ``blocks`` once, the child up to its last odd block,
+    so the iterable must give the same values in both and have no side
+    effects (read no input, write nothing, change no state that outlives
+    it).  It may run numpy's ufuncs, but must call no BLAS: a child has none
+    of numpy's BLAS threads, and a lock that one of them held at the fork
+    stays held there.
     """
-    as_json = (args.format or default) == "json"
+    as_json = args.format == "json"
     if as_json:
         start, sep, end, empty = "[\n", ",\n", "\n]\n", "[]\n"
     else:
         start = empty = ",".join(columns) + "\n"
         sep = end = "\n"
     keys = [json.dumps(c).replace("%", "%%") for c in columns]
-    texts = _formatted(count, lambda i: _format_block(columns, keys, block(i), as_json, sep))
+    texts = _formatted(count, blocks, lambda block: _format_block(columns, keys, block, as_json, sep))
     with _output(args) as out, closing(texts):
         lead = None
         for text in texts:
@@ -337,28 +332,25 @@ def _emit_blocks(args, columns, count, block, default="csv") -> None:
         _write(out, end if lead else empty)
 
 
-def _emit_table(args, columns, rows, payload=None, default="csv") -> None:
+def _emit_table(args, columns, rows, payload=None) -> None:
     """Write ``rows`` (tuples of Python values, one type per column) as CSV or JSON.
 
     JSON writes ``payload`` if one is given, else what :func:`_emit_blocks`
     writes for the rows taken ``_BLOCK_ROWS`` at a time.
     """
-    if payload is not None and (args.format or default) == "json":
+    if payload is not None and args.format == "json":
         with _output(args) as out:
             _write(out, json.dumps(payload, indent=2) + "\n")
         return
     rows = list(rows)
-
-    def block(i):
-        return list(zip(*rows[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS]))
-
-    _emit_blocks(args, columns, -(-len(rows) // _BLOCK_ROWS), block, default)
+    blocks = (zip(*rows[i:i + _BLOCK_ROWS]) for i in range(0, len(rows), _BLOCK_ROWS))
+    _emit_blocks(args, columns, -(-len(rows) // _BLOCK_ROWS), blocks)
 
 
 def _cmd_coeffs(args) -> int:
     if args.n < 0:
         raise DomainError("--n must be >= 0")
-    _emit_table(args, ("index", "a"), enumerate(exp_cheb_coefficients(args.n).tolist()))
+    _emit_table(args, ("index", "a"), enumerate(partial_sum(args.n).values))
     return 0
 
 
@@ -410,24 +402,19 @@ def _cmd_sweep(args) -> int:
         raise DomainError("--x-min must be finite")
     lower, upper = partial_sum(2 * args.n - 1), partial_sum(2 * args.n)
 
-    # blocks come in increasing order, so each process computes each chunk
-    # once, and only the chunk of its last block is held
-    @lru_cache(maxsize=1)
-    def chunk(j):
-        grid = _sweep_grid(args.x_min, args.x_max, args.points, args.log_grid,
-                           j * _CHUNK_ROWS, min((j + 1) * _CHUNK_ROWS, args.points))
-        cols = [grid, clenshaw_eval(lower, grid), clenshaw_eval(upper, grid), np.exp(grid)]
-        if args.with_taylor:
-            cols += [taylor_eval(2 * args.n - 1, grid), taylor_eval(2 * args.n, grid)]
-        return cols
+    def blocks():
+        # one chunk's arrays at a time: the full table is never built
+        for start in range(0, args.points, _CHUNK_ROWS):
+            grid = _sweep_grid(args.x_min, args.x_max, args.points, args.log_grid,
+                               start, min(start + _CHUNK_ROWS, args.points))
+            cols = [grid, clenshaw_eval(lower, grid), clenshaw_eval(upper, grid), np.exp(grid)]
+            if args.with_taylor:
+                cols += [taylor_eval(2 * args.n - 1, grid), taylor_eval(2 * args.n, grid)]
+            for row in range(0, len(grid), _BLOCK_ROWS):
+                block = [c[row:row + _BLOCK_ROWS] for c in cols]
+                yield block if args.with_taylor else block + [[None] * len(block[0])] * 2
 
-    def block(i):
-        # Python floats one block at a time: the full table is never built
-        j, row = divmod(i * _BLOCK_ROWS, _CHUNK_ROWS)
-        cells = [c[row:row + _BLOCK_ROWS].tolist() for c in chunk(j)]
-        return cells if args.with_taylor else cells + [[None] * len(cells[0])] * 2
-
-    _emit_blocks(args, SWEEP_COLUMNS, -(-args.points // _BLOCK_ROWS), block)
+    _emit_blocks(args, SWEEP_COLUMNS, -(-args.points // _BLOCK_ROWS), blocks())
     return 0
 
 
@@ -456,7 +443,7 @@ def _cmd_certify(args) -> int:
                "leading_positive", "verdict")
     rows = [(p["n"], *p["ratio_bound"].values(), *p["conditions"].values(), p["verdict"])
             for p in payload]
-    _emit_table(args, columns, rows, payload=payload, default="json")
+    _emit_table(args, columns, rows, payload=payload)
     return 0 if all(p["verdict"] == "accepted" for p in payload) else 1
 
 
@@ -482,6 +469,7 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.format = args.format or ("json" if args.command == "certify" else "csv")
     try:
         # overflow far from -1 already shows as inf/nan cells; numpy's warnings
         # would put its source lines on stderr, which carries chebbound's own
@@ -490,13 +478,14 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"chebbound {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         if isinstance(exc, BrokenPipeError) and args.output is None:
             # the reader of stdout left (`| head`): as the signal module's docs
             # advise, let the exit-time flush go to devnull, and end quietly
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.close(devnull)
             return 0
-        print(f"chebbound {args.command}: error: {exc}", file=sys.stderr)
+        print(f"chebbound {args.command}: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -108,7 +108,7 @@ class TestEmitTable:
         assert self._emit(capsys, "json", self.COLUMNS, iter(rows)) == _reference_json(self.COLUMNS, rows)
         assert self._emit(capsys, "csv", self.COLUMNS, iter(rows)) == _reference_csv(self.COLUMNS, rows)
 
-    def test_workers_are_capped_below_the_cpu_count(self, capsys, monkeypatch):
+    def test_four_cpus_fork_one_child(self, capsys, monkeypatch):
         _workers(monkeypatch, 4)
         fork, forks = os.fork, []
 
@@ -181,22 +181,28 @@ class TestEmitTable:
             self._emit(capsys, "csv", self.COLUMNS, self._rows(6 * _BLOCK_ROWS))
         _no_child_is_left()
 
-    def test_each_block_is_built_once_and_the_odd_ones_in_the_child(self, capsys, cpus, tmp_path):
-        built = tmp_path / "built"
-        fd = os.open(built, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    def test_each_block_is_formatted_once_and_the_odd_ones_in_the_child(self, capsys, monkeypatch, cpus,
+                                                                          tmp_path):
+        formatted = tmp_path / "formatted"
+        fd = os.open(formatted, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         rows = self._rows(5 * _BLOCK_ROWS + 1)
+        format_block = cli_mod._format_block
 
-        def block(i):
-            os.write(fd, f"{i} {os.getpid()}\n".encode())
-            return list(zip(*rows[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS]))
+        def logged(columns, keys, block, as_json, sep):
+            # each block's first column holds k * 10**15 for its rows k
+            os.write(fd, f"{block[0][0] // 10**15 // _BLOCK_ROWS} {os.getpid()}\n".encode())
+            return format_block(columns, keys, block, as_json, sep)
 
+        monkeypatch.setattr(cli_mod, "_format_block", logged)
+        blocks = (list(zip(*rows[i:i + _BLOCK_ROWS])) for i in range(0, len(rows), _BLOCK_ROWS))
         try:
-            _emit_blocks(argparse.Namespace(format="csv", output=None), self.COLUMNS, 6, block)
+            _emit_blocks(argparse.Namespace(format="csv", output=None), self.COLUMNS, 6, blocks)
         finally:
             os.close(fd)
         assert capsys.readouterr() == (_reference_csv(self.COLUMNS, rows), "")
-        pids = dict(map(int, line.split()) for line in built.read_text().splitlines())
-        assert sorted(pids) == list(range(6)) and len(built.read_text().splitlines()) == 6
+        lines = formatted.read_text().splitlines()
+        pids = dict(map(int, line.split()) for line in lines)
+        assert sorted(pids) == list(range(6)) and len(lines) == 6
         here = os.getpid()
         assert [pids[i] == here for i in range(6)] == [True, cpus == 1] * 3
 
@@ -694,6 +700,19 @@ class TestCompare:
         assert code == 2
         assert out == ""
 
+    # numpy's, as at --points 100000000000 where the host refuses 745 GiB,
+    # and Python's own, which has no message
+    REFUSED = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+    @pytest.mark.parametrize("message, shown", ((REFUSED, REFUSED), ("", "MemoryError")), ids=("numpy", "bare"))
+    def test_a_failed_allocation_is_exit_1_with_the_message(self, run_cli, monkeypatch, message, shown):
+        def refused(degree, points):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(cli_mod, "sup_error_comparison", refused)
+        code, out, err = run_cli(["compare", "--n", "2", "--points", "100000000000"])
+        assert (code, out, err) == (1, "", f"chebbound compare: error: {shown}\n")
+
 
 def test_output_file(tmp_path, run_cli):
     target = tmp_path / "coeffs.csv"
@@ -838,6 +857,19 @@ def _no_process_is_left(proc):
     # the run had a session of its own: none of its row formatters outlived it
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc/self/fd")
+def test_reader_leaving_early_leaves_no_fd_open(monkeypatch):
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    # unbuffered, so the first block's write meets the closed pipe
+    stdout = io.TextIOWrapper(io.FileIO(write_fd, "w"), encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with stdout:
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert main(["sweep", "--n", "2", "--x-min=-4", "--x-max=-2", "--points", "3"]) == 0
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_reader_leaving_early_is_a_quiet_success():
