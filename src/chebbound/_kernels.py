@@ -4,13 +4,12 @@ Each kernel runs a Python loop over the recurrence index in one of two
 forms.  Without ``work`` it uses only arithmetic operators, so one function
 serves both kinds of point: ``xs`` is either a Python float, giving a float,
 or a float64 ndarray, giving an ndarray of the same shape with one
-whole-array operation per step.  With ``work``, a tuple of float64 buffers
-of ``xs``' length, it runs the same operations in the same order in place,
-each ufunc writing to a buffer given as its positional output, and returns
-one of the buffers.  IEEE arithmetic rounds each element on its own, so a
-float, the same value inside an array and either loop form give the same
-bits.  The operator form is tested first, so a float pays one ``is None``
-check.
+whole-array operation per step.  With ``work``, a tuple of float64 buffers,
+it runs the same operations in the same order in place, each ufunc writing
+to a buffer given as its positional output, and returns the first buffer.
+IEEE arithmetic rounds each element on its own, so a float, the same value
+inside an array and either loop form give the same bits.  The operator
+form is tested first, so a float pays one ``is None`` check.
 
 ``evaluate`` is the one route from a point argument to a kernel.  A scalar
 (a Python or numpy int or float, or a 0-d array) runs the operator form in
@@ -18,23 +17,47 @@ Python floats and gives a Python float.  Every other array, whatever its
 size, runs in place, ``BLOCK`` points at a time, and gives a float64
 ndarray of its shape.  Over the whole array at once, each step would stream
 the points and the recurrence's arrays through memory; a 2M-point array is
-16 MB, far above the per-core L2 cache.  Over a block, the live arrays (the
-points and four buffers: 1.25 MiB at 32768 points) stay in L2 for all
-steps.  ``BLOCK`` comes from two scans of 4096..131072 points on 2M points
-(best of 5): Clenshaw at degree 64 in the operator form, and a
-10-evaluation grid round in the in-place form; 32768 was fastest in both
-(CHANGES.md gives the figures).  Blocks cannot change a bit: ``+ - * /``
-round each element on its own, whatever the slice or the SIMD path, and a
-block applies the same operations in the same order to each point.
+16 MB, far above the per-core L2 cache.  Over a piece of 32768 points the
+live arrays (the points and four buffers: 1.25 MiB) stay in L2 for all
+steps; 32768 was the fastest block of two scans of 4096..131072 points on
+2M points (CHANGES.md gives the figures).  Blocks and pieces cannot change
+a bit: ``+ - * /`` round each element on its own, whatever the slice or the
+SIMD path, and each applies the same operations in the same order to each
+point.
 
-``evaluate`` cuts four buffers of at most ``BLOCK`` points from one
-allocation, each on a 64-byte boundary, and runs the kernel in place on
-them.  The operator form's temporaries land wherever malloc puts them, so
-its timing followed the heap's history: the in-place loop ran that grid
-round in 717-728 ms on aligned buffers but in 868-1041 ms on buffers 8,
-16, 32 or 48 bytes past a boundary, and on 32768 points the operator loop
-took 235 minor page faults against 31 in place.  The buffers belong to one
-call of ``evaluate`` and are never kept, so threads may evaluate at the
+A block of ``BLOCK`` = 262144 points runs in two halves: a daemon helper
+thread takes the first while the calling thread takes the second, and
+numpy's ufuncs release the GIL inside their loops, so the two run on two
+CPUs at once.  ``taylor_kernel``, bound by its divisions, runs each half
+whole (two live arrays of 1 MiB); ``clenshaw_kernel`` runs each half in
+``_PIECE`` = 32768-point pieces.  Halves are that large because a thread
+that waits for the GIL on a 2-vCPU KVM guest woke too late to catch the
+other thread's next ufunc of 32768 points (about 10 us): both halves of a
+65536-point block then ran one after the other, while ufuncs of 131072
+points overlapped from the first call.  The split sits inside the kernel
+call: the helper runs only the private step loops (``_clenshaw_rows``,
+``_taylor_rows``), so every call of a module-level kernel, and every span
+that perfbench's tracer (one span stack for all threads) records for it,
+stays in the calling thread, and the span's wall time covers both halves.
+The helper runs its half in a copy of the caller's context, so numpy's
+error state (a context variable) holds there too, and the caller raises
+the helper's exception.  A block runs whole in the calling thread where
+its halves would hold fewer than ``_HALF_MIN`` points (the CLI's
+8192-row chunks, small grids, every float point), and its halves run in
+turn there where the process may not use two CPUs (``_cpus.two_cpus``) or
+another thread holds the helper.  A forked child starts its own helper.
+
+``evaluate`` cuts four buffers from one allocation, each on a 64-byte
+boundary: one of the block's size, which ends up holding the result, and
+three of two pieces each, the scratch rows of ``clenshaw_kernel``'s two
+halves.  The allocation stays under the 4 MiB from which numpy asks for
+huge pages, whose first touches would make it resident 2 MiB at a time.
+The operator form's temporaries land wherever malloc puts them, so its
+timing followed the heap's history: the in-place loop ran a 10-evaluation
+grid round in 717-728 ms on aligned buffers but in 868-1041 ms on buffers
+8, 16, 32 or 48 bytes past a boundary, and on 32768 points the operator
+loop took 235 minor page faults against 31 in place.  The buffers belong to
+one call of ``evaluate`` and are never kept, so threads may evaluate at the
 same time, and no result shares memory with them.
 
 numpy is imported only in the in-place branch and in the array branch of
@@ -54,21 +77,34 @@ the one-pass loops.
 
 from __future__ import annotations
 
-# points per block, from the scans above
-BLOCK = 32768
+import os
 
-# buffers cut by ``evaluate``: clenshaw_kernel's 2x, b1, b2 and its step
-# result; taylor_kernel uses the first
+# points per block, run in two halves (see above)
+BLOCK = 262144
+# points per piece of a clenshaw_kernel half: its live arrays stay in L2
+_PIECE = 32768
+# points per half below which a block runs whole in the calling thread
+_HALF_MIN = 16384
+
+# buffers cut by ``evaluate``: the result, which clenshaw_kernel also holds
+# 2x in, and clenshaw_kernel's b1, b2 and step result, a piece of each
 _BUFFERS = 4
 _ALIGN = 64
+
+# this process's helper thread, under "helper", once a split block starts it
+_HELPER = {}
+# a forked child has no helper thread, whatever the parent's state
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_HELPER.clear)
 
 
 def clenshaw_kernel(coeffs, xs, work=None):
     """Backward Clenshaw recurrence for sum_j coeffs[j]*T_j at each x.
 
     ``coeffs`` is any sequence of floats, at least one long.  ``work``, if
-    given, holds four float64 arrays of ``xs``' size; the result is then
-    one of them.
+    given, holds four float64 arrays, the first of ``xs``' size and the
+    others of at least ``min(xs.size, 2 * _PIECE)`` points; the result is
+    then the first.
     """
     if work is None:
         # 2.0 * xs * b1 is (2.0 * xs) * b1, so hoisting 2x keeps every bit
@@ -77,22 +113,30 @@ def clenshaw_kernel(coeffs, xs, work=None):
         for c in coeffs[:0:-1]:
             b1, b2 = x2 * b1 + c - b2, b1
         return xs * b1 + coeffs[0] - b2
+    return _in_place(_clenshaw_rows, coeffs, xs, work)
+
+
+def _clenshaw_rows(coeffs, xs, work):
     import numpy as np
 
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    x2, b1, b2, t = work
-    multiply(2.0, xs, x2)
-    # zeros give the bits of the operator form's scalar 0.0 start
-    b1.fill(0.0)
-    b2.fill(0.0)
-    for c in coeffs[:0:-1]:
-        multiply(x2, b1, t)
-        add(t, c, t)
-        subtract(t, b2, t)
-        b1, b2, t = t, b1, b2
-    multiply(xs, b1, t)
-    add(t, coeffs[0], t)
-    return subtract(t, b2, t)
+    for i in range(0, xs.size, _PIECE):
+        x = xs[i:i + _PIECE]
+        # 2x lies where the piece's result goes, which overwrites it last
+        x2 = work[0][i:i + x.size]
+        b1, b2, t = (w[:x.size] for w in work[1:])
+        multiply(2.0, x, x2)
+        # zeros give the bits of the operator form's scalar 0.0 start
+        b1.fill(0.0)
+        b2.fill(0.0)
+        for c in coeffs[:0:-1]:
+            multiply(x2, b1, t)
+            add(t, c, t)
+            subtract(t, b2, t)
+            b1, b2, t = t, b1, b2
+        multiply(x, b1, t)
+        add(t, coeffs[0], t)
+        subtract(t, b2, x2)
 
 
 def taylor_kernel(n, xs, work=None):
@@ -107,6 +151,10 @@ def taylor_kernel(n, xs, work=None):
         for k in range(n, 0, -1):
             v = 1.0 + v * xs / k
         return v
+    return _in_place(_taylor_rows, n, xs, work)
+
+
+def _taylor_rows(n, xs, work):
     import numpy as np
 
     multiply, divide, add = np.multiply, np.divide, np.add
@@ -116,7 +164,90 @@ def taylor_kernel(n, xs, work=None):
         multiply(v, xs, v)
         divide(v, k, v)
         add(1.0, v, v)
-    return v
+
+
+class _Helper:
+    """A daemon thread that runs the first half of a block while the calling thread runs the second.
+
+    The caller that holds ``owner`` puts (context, rows, args) on ``tasks``;
+    the thread runs ``rows(*args)`` in that context and puts None, or the
+    exception it raised, on ``done``.
+    """
+
+    def __init__(self):
+        import contextvars
+        import queue
+        import threading
+
+        self.context = contextvars.copy_context
+        self.owner = threading.Lock()
+        self.tasks, self.done = queue.SimpleQueue(), queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, name="chebbound-kernels", daemon=True)
+
+    def _serve(self):
+        while True:
+            self.done.put(self._run(*self.tasks.get()))
+
+    @staticmethod
+    def _run(context, rows, args):
+        # the caller raises what comes back; this frame, and with it every
+        # reference to the block's arrays, is gone before it does
+        try:
+            context.run(rows, *args)
+        except BaseException as exc:
+            return exc
+        return None
+
+
+def _helper():
+    """This process's helper, started on first use, or None where it may not run on two CPUs."""
+    from . import _cpus
+
+    if not _cpus.two_cpus():
+        return None
+    helper = _HELPER.get("helper")
+    if helper is None:
+        # where two threads get here at once, setdefault keeps one helper
+        mine = _Helper()
+        helper = _HELPER.setdefault("helper", mine)
+        if helper is mine:
+            mine.thread.start()
+    return helper
+
+
+def _in_place(rows, arg, xs, work):
+    """``rows(arg, xs, work)``, which leaves its result in ``work[0]``, on the two halves of a large block at once.
+
+    The helper runs the first half in a copy of the caller's context, so
+    numpy's error state (a context variable) holds there too, and its
+    exception is raised here.  Where the process may not use two CPUs, or
+    another thread holds the helper, this thread runs the halves in turn.
+    Each point takes the same steps either way, so the bits do not change.
+    Returns ``work[0]``.
+    """
+    h = xs.size // 2
+    if h < _HALF_MIN:
+        rows(arg, xs, work)
+        return work[0]
+    # the first row holds the block, each other row two pieces
+    first = (work[0][:h], *(w[:w.size // 2] for w in work[1:]))
+    second = (work[0][h:], *(w[w.size // 2:] for w in work[1:]))
+    helper = _helper()
+    if helper is not None and helper.owner.acquire(blocking=False):
+        helper.tasks.put((helper.context(), rows, (arg, xs[:h], first)))
+        try:
+            rows(arg, xs[h:], second)
+        finally:
+            # an interrupt in this wait leaves the helper owned, and later
+            # calls run both halves themselves
+            error = helper.done.get()
+            helper.owner.release()
+        if error is not None:
+            raise error
+    else:
+        rows(arg, xs[:h], first)
+        rows(arg, xs[h:], second)
+    return work[0]
 
 
 def taylor_bracket(n, x):
@@ -137,8 +268,9 @@ def evaluate(kernel, arg, x):
     """kernel(arg, points) at the points of x: a float for a scalar, else an ndarray.
 
     An array's result is a C-ordered float64 array of its shape.  ``kernel``
-    is called once per block, with four aligned work buffers of the block's
-    size as its third argument.  Callers pass it as ``_kernels.<name>``
+    is called once per block, with four aligned work buffers as its third
+    argument: the first of the block's size, the others of at most two
+    ``_PIECE``s.  Callers pass it as ``_kernels.<name>``
     looked up at call time, so a wrapper set on that module attribute
     (perfbench's tracer) sees every call.
     """
@@ -151,13 +283,19 @@ def evaluate(kernel, arg, x):
         return kernel(arg, float(xs))
     flat = xs.reshape(-1)
     out = np.empty(flat.size)
-    # one row per buffer, its bytes rounded up to the alignment, plus room
-    # to align the first; no closure here, whose cells a float would pay for
-    stride = -(-min(flat.size, BLOCK) * 8 // _ALIGN) * _ALIGN
-    raw = np.empty(_BUFFERS * stride + _ALIGN, dtype=np.uint8)
+    # the block's row, then three rows of two clenshaw_kernel pieces each,
+    # each row's bytes rounded up to the alignment, plus room to align the
+    # first; no closure here, whose cells a float would pay for.  Under 4
+    # MiB, numpy asks for no huge pages, which a first touch would make
+    # resident 2 MiB at a time.
+    size = min(flat.size, BLOCK)
+    whole = -(-size * 8 // _ALIGN) * _ALIGN // 8
+    part = -(-min(size, 2 * _PIECE) * 8 // _ALIGN) * _ALIGN // 8
+    raw = np.empty((whole + (_BUFFERS - 1) * part) * 8 + _ALIGN, dtype=np.uint8)
     first = -raw.ctypes.data % _ALIGN
-    rows = raw[first:first + _BUFFERS * stride].view(np.float64).reshape(_BUFFERS, stride // 8)
+    rows = raw[first:first + (whole + (_BUFFERS - 1) * part) * 8].view(np.float64)
+    head, tail = rows[:whole], rows[whole:].reshape(_BUFFERS - 1, part)
     for i in range(0, flat.size, BLOCK):
         block = flat[i:i + BLOCK]
-        out[i:i + BLOCK] = kernel(arg, block, tuple(rows[:, :block.size]))
+        out[i:i + BLOCK] = kernel(arg, block, (head[:block.size], *tail[:, :block.size]))
     return out.reshape(xs.shape)

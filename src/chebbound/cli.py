@@ -8,8 +8,8 @@ come from numpy's ``exp``, and ``log10`` and ``power``, whose AVX-512 paths
 can differ from the others in the last bit.
 
 A table is written in blocks of ``_BLOCK_ROWS`` rows.  Where the process may
-run on two or more CPUs (its affinity mask and its cgroup CPU quota both
-allow two), a table of two or more blocks is formatted by this process and
+run on two or more CPUs (``_cpus.two_cpus``: its affinity mask and its
+cgroup CPU quotas allow two), a table of two or more blocks is formatted by this process and
 one forked child, the child taking the odd blocks; this process writes every
 block in table order, so the bytes do not depend on the number of CPUs.
 ``sweep`` streams its blocks from its grid and columns, computed
@@ -40,6 +40,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
+from . import _cpus
 from .certificate import sign_certificate
 from .chebpoly import clenshaw_eval
 from .errors import DomainError
@@ -189,71 +190,9 @@ def _receive(pipe, pid) -> str:
     return data.decode("utf-8", "surrogatepass")
 
 
-def _cgroup_dir(mounts, v2, path):
-    """The directory of the group at ``path`` in the v2 hierarchy, or else the v1 one with the cpu controller.
-
-    ``mounts`` are the lines of a mountinfo file.  A mount shows its
-    hierarchy from the mount's root on (in a container without a cgroup
-    namespace, the group that the container was started in), so ``path``
-    is taken relative to that root; a group outside it is not shown there.
-    """
-    for line in mounts:
-        fields = line.split()
-        fstype, *_, options = fields[fields.index("-") + 1:]
-        if fstype != ("cgroup2" if v2 else "cgroup") or not v2 and "cpu" not in options.split(","):
-            continue
-        # mountinfo writes a space, tab, newline or backslash as \ooo
-        root, point = (re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), f) for f in fields[3:5])
-        rel = os.path.relpath(path, root)
-        if rel.split(os.sep)[0] != os.pardir:
-            return os.path.normpath(os.path.join(point, rel))
-    raise FileNotFoundError(f"no mount shows cgroup {path}")
-
-
-def _cpu_quota(cgroup="/proc/self/cgroup", mountinfo="/proc/self/mountinfo"):
-    """The CPUs that this process's cgroup quota allows, or None: no quota, or none that can be read.
-
-    The group is the one that ``cgroup`` names, found where ``mountinfo``
-    mounts its hierarchy.  cgroup v2 keeps the quota in its ``cpu.max``
-    ("max" or "QUOTA PERIOD"), v1 in ``cpu.cfs_quota_us`` (-1 for none)
-    over ``cpu.cfs_period_us``.
-    """
-    try:
-        with open(cgroup) as f, open(mountinfo) as g:
-            lines, mounts = f.read().splitlines(), g.read().splitlines()
-    except OSError:
-        return None
-    for line in lines:
-        try:
-            _, controllers, path = line.split(":", 2)
-            if controllers and "cpu" not in controllers.split(","):
-                continue
-            group = _cgroup_dir(mounts, not controllers, path)
-            if not controllers:
-                with open(os.path.join(group, "cpu.max")) as f:
-                    quota, period = f.read().split()
-            else:
-                with open(os.path.join(group, "cpu.cfs_quota_us")) as f, \
-                        open(os.path.join(group, "cpu.cfs_period_us")) as g:
-                    quota, period = f.read().strip(), g.read().strip()
-            return None if quota in ("max", "-1") else int(quota) / int(period)
-        except (OSError, ValueError, ZeroDivisionError):
-            continue
-    return None
-
-
-def _two_cpus() -> bool:
-    """Whether both this process's affinity mask and its cgroup quota let it run on two CPUs at once."""
-    # sched_getaffinity exists on Linux only
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return False
-    quota = _cpu_quota()
-    return quota is None or quota >= 2
-
-
 def _formatted(count, blocks, text):
     """``text(block)`` for each of the ``count`` blocks, in table order, as :func:`_emit_blocks` describes."""
-    if count < 2 or not _two_cpus():
+    if count < 2 or not _cpus.two_cpus():
         yield from map(text, blocks)
         return
     parent, pid = os.getpid(), None

@@ -18,19 +18,7 @@ import chebbound as cb
 import oracles
 import chebbound.cli as cli_mod
 from chebbound.cli import _BLOCK_ROWS, SWEEP_HEADER, _emit_blocks, _emit_table, main
-
-
-@pytest.fixture
-def run_cli(capsys):
-    def run(args):
-        try:
-            code = main(args)
-        except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else 2
-        out, err = capsys.readouterr()
-        return code, out, err
-
-    return run
+from conftest import _no_child_is_left, _workers
 
 
 def _parse_csv(text):
@@ -54,26 +42,6 @@ def _reference_csv(columns, rows):
         return str(v)
 
     return "\n".join([",".join(columns)] + [",".join(map(cell, r)) for r in rows]) + "\n"
-
-
-def _no_child_is_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _workers(monkeypatch, count, quota=None):
-    """Let the emitter see ``count`` CPUs that it may run on, under a cgroup quota of ``quota`` CPUs
-    (None: no quota): where both allow two, it forks one child."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    monkeypatch.setattr(cli_mod, "_cpu_quota", lambda: quota)
-
-
-@pytest.fixture(params=(1, 2, 3))
-def cpus(request, monkeypatch):
-    """The number of CPUs that the emitter may run on."""
-    _workers(monkeypatch, request.param)
-    yield request.param
-    _no_child_is_left()
 
 
 class TestEmitTable:
@@ -289,85 +257,6 @@ class TestEmitTable:
         with pytest.raises(TypeError if cpus == 1 else ChildProcessError,
                            match="'f' mixes" if cpus == 1 else "row formatter .* stopped before the end"):
             self._emit(capsys, "csv", ("f",), [(1.0,)] * _BLOCK_ROWS + [(1.0,), (None,)])
-
-
-# mountinfo lines, "{}" standing for the directory that the test's cgroup
-# file system is in: v2 mounted there or below it, v1 controllers below it
-V2 = "30 24 0:26 / {} rw,nosuid - cgroup2 cgroup2 rw\n"
-UNIFIED = "42 32 0:38 / {}/unified rw,relatime - cgroup2 cgroup2 rw\n"
-CPU = "33 32 0:29 / {}/cpu rw,relatime - cgroup cgroup rw,cpu\n"
-CPU_CPUACCT = "33 32 0:29 / {}/cpu,cpuacct rw,relatime - cgroup cgroup rw,cpu,cpuacct\n"
-MEMORY = "36 32 0:32 / {}/memory rw,relatime - cgroup cgroup rw,memory\n"
-# a container without a cgroup namespace: its own group is the mount's root
-DOCKER = "33 32 0:29 /docker/abc {}/cpu,cpuacct ro,relatime master:14 - cgroup cgroup rw,cpu,cpuacct\n"
-
-
-def _cfs(group, quota, period="100000\n"):
-    return {f"{group}/cpu.cfs_quota_us": quota, f"{group}/cpu.cfs_period_us": period}
-
-
-class TestCpuQuota:
-    """The quota read from the cgroup that a /proc/self/cgroup file names, where a mountinfo file mounts it."""
-
-    def _quota(self, tmp_path, cgroup, mountinfo, files):
-        (tmp_path / "cgroup").write_text(cgroup)
-        (tmp_path / "mountinfo").write_text(mountinfo.replace("{}", str(tmp_path).replace(" ", "\\040")))
-        for name, text in files.items():
-            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-            (tmp_path / name).write_text(text)
-        return cli_mod._cpu_quota(str(tmp_path / "cgroup"), str(tmp_path / "mountinfo"))
-
-    @pytest.mark.parametrize("cgroup, mountinfo, files, quota", (
-        # v2
-        ("0::/job\n", V2, {"job/cpu.max": "150000 100000\n"}, 1.5),
-        ("0::/\n", V2, {"cpu.max": "max 100000\n"}, None),
-        # v1, with the controllers mounted together or alone
-        ("5:memory:/x\n4:cpu,cpuacct:/job\n", MEMORY + CPU_CPUACCT, _cfs("cpu,cpuacct/job", "200000\n"), 2.0),
-        ("1:cpu:/\n", CPU, _cfs("cpu", "-1\n"), None),
-        # hybrid: the v2 group has no cpu.max, the v1 cpu group has the quota
-        ("0::/\n1:cpu:/\n", UNIFIED + CPU, _cfs("cpu", "50000\n"), 0.5),
-        # without a cgroup namespace the group's path lies below the mount's
-        # root: the container's own group, one inside it, and one outside it
-        ("4:cpu,cpuacct:/docker/abc\n", DOCKER, _cfs("cpu,cpuacct", "100000\n"), 1.0),
-        ("4:cpu,cpuacct:/docker/abc/job\n", DOCKER, _cfs("cpu,cpuacct/job", "50000\n"), 0.5),
-        ("4:cpu,cpuacct:/docker/xyz\n", DOCKER, _cfs("cpu,cpuacct", "100000\n"), None),
-        ("0::/system.slice/x.scope\n", V2.replace(" / ", " /system.slice/x.scope "),
-         {"cpu.max": "200000 100000\n"}, 2.0),
-        # a mount point with a space in it, which mountinfo writes as \040
-        ("1:cpu:/\n", CPU.replace("/cpu ", "/cpu\\040dir "), _cfs("cpu dir", "300000\n"), 3.0),
-        # missing or unreadable: the affinity mask alone decides
-        ("0::/job\n", V2, {}, None),
-        ("1:cpu:/\n", "", _cfs("cpu", "50000\n"), None),
-        ("1:cpu:/\n", CPU, {"cpu/cpu.cfs_quota_us": "50000\n"}, None),
-        ("0::/\n", V2, {"cpu.max": "lots\n"}, None),
-        ("0::/\n", V2, {"cpu.max": "100000 0\n"}, None),
-        ("0::/\n", "garbled\n", {"cpu.max": "100000 100000\n"}, None),
-        ("garbled\n", V2, {}, None),
-    ))
-    def test_v1_and_v2(self, tmp_path, cgroup, mountinfo, files, quota):
-        assert self._quota(tmp_path, cgroup, mountinfo, files) == quota
-
-    def test_no_cgroup_or_mountinfo_file_is_no_quota(self, tmp_path):
-        assert self._quota(tmp_path, "0::/\n", V2, {"cpu.max": "100000 100000\n"}) == 1.0
-        assert cli_mod._cpu_quota(str(tmp_path / "absent"), str(tmp_path / "mountinfo")) is None
-        assert cli_mod._cpu_quota(str(tmp_path / "cgroup"), str(tmp_path / "absent")) is None
-
-    @pytest.mark.parametrize("quota, forks", ((None, True), (4.0, True), (2.0, True), (1.5, False), (1.0, False)))
-    def test_a_sweep_forks_only_where_the_quota_allows_two_cpus(self, run_cli, monkeypatch, quota, forks):
-        _workers(monkeypatch, 4, quota)
-        fork, pids = os.fork, []
-
-        def counted_fork():
-            pids.append(fork())
-            return pids[-1]
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        argv = ["sweep", "--n", "2", "--x-min=-4", "--x-max=-2", "--points", "1025"]
-        code, out, err = run_cli(argv)
-        assert (code, err, len(pids)) == (0, "", int(forks))
-        _workers(monkeypatch, 1)
-        assert run_cli(argv) == (0, out, "")
-        _no_child_is_left()
 
 
 class TestCoeffs:

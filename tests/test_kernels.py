@@ -1,12 +1,16 @@
 import math
+import os
+import signal
 import sys
 import threading
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from chebbound import _kernels, clenshaw_eval, eval_T, eval_U, exp_cheb_coefficients, partial_sum, taylor_eval
+from chebbound import _cpus, _kernels, clenshaw_eval, eval_T, eval_U, exp_cheb_coefficients, partial_sum, taylor_eval
 from chebbound.chebpoly import u_to_t_coeffs
 
 
@@ -221,11 +225,12 @@ def test_an_array_of_one_block_or_less_runs_in_place(size, monkeypatch):
         for evaluate, _, _ in _blocked_evaluators():
             seen.clear()
             evaluate(xs)
-            # one call, on the whole array, with four aligned buffers of its size
+            # one call, on the whole array, with four aligned buffers: the first
+            # of its size, the others of at most two clenshaw_kernel pieces
             [(points, work)] = seen
             assert points == size and work is not None and len(work) == 4
-            for w in work:
-                assert w.dtype == np.float64 and w.size == size and w.ctypes.data % 64 == 0
+            for w, n in zip(work, [size] + [min(size, 2 * _kernels._PIECE)] * 3):
+                assert w.dtype == np.float64 and w.size == n and w.ctypes.data % 64 == 0
 
 
 def test_two_threads_get_the_bits_of_sequential_calls():
@@ -257,3 +262,118 @@ def test_two_threads_get_the_bits_of_sequential_calls():
         assert got[i] is not None and len(got[i]) == len(want[i])
         for floats, arr in zip(want[i], got[i]):
             _assert_same_bits(floats, arr)
+
+
+# --- the two halves of a large block ----------------------------------------
+# A block of at least 2 * _HALF_MIN points runs in two halves: the first in
+# the helper thread where the process may use two CPUs and the helper is
+# free, else both in the calling thread, one after the other.
+H = _kernels._HALF_MIN
+
+
+@pytest.fixture(params=("helper", "in turn"))
+def halves(request, monkeypatch):
+    """Where the halves of a large block run, whatever the host's CPUs."""
+    monkeypatch.setattr(_cpus, "_decision", request.param == "helper")
+    return request.param
+
+
+@pytest.mark.parametrize("size", [2 * H - 1, 2 * H, 2 * H + 1, 2 * B + 1])
+def test_split_blocks_give_the_bits_of_one_kernel_call(halves, size):
+    xs = _points(size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for evaluate, kernel, arg in _blocked_evaluators():
+            _assert_same_bits(kernel(arg, xs), evaluate(xs))
+    # a block of 2H points or more starts the helper where two CPUs are usable
+    assert "helper" in _kernels._HELPER or halves == "in turn" or size < 2 * H
+
+
+def test_overflow_under_the_cli_errstate_warns_nothing(halves):
+    # far from -1 every evaluator overflows, in both halves of every block;
+    # the helper runs in the caller's numpy error state, as cli.main sets it
+    xs = -np.geomspace(1e300, 1e10, 2 * B)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = [clenshaw_eval(partial_sum(64), xs), taylor_eval(63, xs), eval_T(64, xs), eval_U(63, xs)]
+    assert all(not np.isfinite(g).all() for g in got)
+
+
+def test_an_error_in_the_first_half_reaches_the_caller(halves):
+    # only the first half of each block overflows: there, in the helper
+    xs = np.tile(np.repeat([-1e300, -2.0], B // 2), 2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        taylor_eval(64, xs)
+    # the helper serves the next call
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_bits(_kernels.taylor_kernel(64, xs), taylor_eval(64, xs))
+
+
+def test_a_busy_helper_leaves_both_halves_to_the_caller(monkeypatch):
+    monkeypatch.setattr(_cpus, "_decision", True)
+    helper = _kernels._helper()
+    xs = _points(2 * B + 1)
+    assert helper.owner.acquire(timeout=60)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = taylor_eval(33, xs)
+    finally:
+        helper.owner.release()
+    assert helper.tasks.empty()
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_bits(_kernels.taylor_kernel(33, xs), got)
+
+
+def test_every_kernel_call_stays_in_the_calling_thread(monkeypatch):
+    # the benchmark's tracer wraps the module's kernels with one span stack;
+    # the helper runs only the private step loops
+    monkeypatch.setattr(_cpus, "_decision", True)
+    seen = {}
+
+    def recorder(name, function):
+        def record(*args, **kwargs):
+            seen.setdefault(name, set()).add(threading.get_ident())
+            return function(*args, **kwargs)
+        return record
+
+    for name in ("evaluate", "clenshaw_kernel", "taylor_kernel", "taylor_bracket",
+                 "_clenshaw_rows", "_taylor_rows"):
+        monkeypatch.setattr(_kernels, name, recorder(name, getattr(_kernels, name)))
+    xs = _points(2 * B + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        clenshaw_eval(partial_sum(8), xs)
+        taylor_eval(8, xs)
+    here, helper = threading.get_ident(), _kernels._HELPER["helper"].thread.ident
+    assert seen == {"evaluate": {here}, "clenshaw_kernel": {here}, "taylor_kernel": {here},
+                    "_clenshaw_rows": {here, helper}, "_taylor_rows": {here, helper}}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_starts_its_own_helper(monkeypatch):
+    monkeypatch.setattr(_cpus, "_decision", True)
+    xs, s = _points(2 * B), partial_sum(40)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = clenshaw_eval(s, xs)
+    assert "helper" in _kernels._HELPER
+    with warnings.catch_warnings():
+        # the helper and numpy's BLAS threads make this process multi-threaded
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if not pid:
+        code = 1
+        try:
+            # the parent's helper and CPU decision are gone
+            fresh = not _kernels._HELPER and _cpus._decision is None
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = clenshaw_eval(s, xs)
+            code = 0 if fresh and np.array_equal(got.view(np.uint64), want.view(np.uint64)) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if not done[0]:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
