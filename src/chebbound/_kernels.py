@@ -30,22 +30,25 @@ thread takes the first while the calling thread takes the second, and
 numpy's ufuncs release the GIL inside their loops, so the two run on two
 CPUs at once.  ``taylor_kernel``, bound by its divisions, runs each half
 whole (two live arrays of 1 MiB); ``clenshaw_kernel`` runs each half in
-``_PIECE`` = 32768-point pieces.  Halves are that large because a thread
-that waits for the GIL on a 2-vCPU KVM guest woke too late to catch the
-other thread's next ufunc of 32768 points (about 10 us): both halves of a
-65536-point block then ran one after the other, while ufuncs of 131072
+``_PIECE`` = 32768-point pieces, as whole halves (five live arrays of 1
+MiB, above L2) ran slower than one thread.  Halves are that large because a
+thread that waits for the GIL on a 2-vCPU KVM guest woke too late to catch
+the other thread's next ufunc of 32768 points (about 10 us): both halves of
+a 65536-point block then ran one after the other, while ufuncs of 131072
 points overlapped from the first call.  The split sits inside the kernel
 call: the helper runs only the private step loops (``_clenshaw_rows``,
 ``_taylor_rows``), so every call of a module-level kernel, and every span
 that perfbench's tracer (one span stack for all threads) records for it,
 stays in the calling thread, and the span's wall time covers both halves.
-The helper runs its half in a copy of the caller's context, so numpy's
-error state (a context variable) holds there too, and the caller raises
-the helper's exception.  A block runs whole in the calling thread where
-its halves would hold fewer than ``_HALF_MIN`` points (the CLI's
-8192-row chunks, small grids, every float point), and its halves run in
-turn there where the process may not use two CPUs (``_cpus.two_cpus``) or
-another thread holds the helper.  A forked child starts its own helper.
+The helper runs its half under the caller's numpy error state, which numpy
+1 keeps per thread and numpy 2 per context, and the caller raises the
+helper's exception.  The calling thread runs a block alone where its
+halves would hold fewer than ``_HALF_MIN`` points (the CLI's 8192-row
+chunks, small grids, every float point), where the process may not use
+two CPUs (``_cpus.two_cpus``) and where another thread holds the helper;
+it then runs both kernels ``_PIECE`` points at a time, so one CPU keeps the
+cache behaviour of one-thread 32768-point blocks.  A forked child starts
+its own helper.
 
 ``evaluate`` cuts four buffers from one allocation, each on a 64-byte
 boundary: one of the block's size, which ends up holding the result, and
@@ -169,31 +172,40 @@ def _taylor_rows(n, xs, work):
 class _Helper:
     """A daemon thread that runs the first half of a block while the calling thread runs the second.
 
-    The caller that holds ``owner`` puts (context, rows, args) on ``tasks``;
-    the thread runs ``rows(*args)`` in that context and puts None, or the
-    exception it raised, on ``done``.
+    The caller that holds ``owner`` puts [err, call, rows, *args, done] on
+    ``tasks``; the thread runs ``rows(*args)`` under numpy's error state
+    ``err`` and error callback ``call``, and puts None, or the exception it
+    raised, on ``done``.  Each call has its own ``done``, so a call that an
+    interrupt takes from its wait leaves no result for the next.
     """
 
     def __init__(self):
-        import contextvars
         import queue
         import threading
 
-        self.context = contextvars.copy_context
         self.owner = threading.Lock()
-        self.tasks, self.done = queue.SimpleQueue(), queue.SimpleQueue()
+        self.tasks = queue.SimpleQueue()
         self.thread = threading.Thread(target=self._serve, name="chebbound-kernels", daemon=True)
 
     def _serve(self):
         while True:
-            self.done.put(self._run(*self.tasks.get()))
+            job = self.tasks.get()
+            done = job.pop()
+            done.put(self._run(job))
 
     @staticmethod
-    def _run(context, rows, args):
-        # the caller raises what comes back; this frame, and with it every
-        # reference to the block's arrays, is gone before it does
+    def _run(job):
+        # numpy 1 keeps its error state per thread and numpy 2 per context,
+        # so the caller's is set here.  job is emptied, and after a success
+        # this frame is gone, before the caller wakes: a block's buffer that
+        # outlived its call of evaluate would lie beside the next call's
+        import numpy as np
+
+        err, call, rows, *args = job
+        job.clear()
         try:
-            context.run(rows, *args)
+            with np.errstate(call=call, **err):
+                rows(*args)
         except BaseException as exc:
             return exc
         return None
@@ -218,35 +230,43 @@ def _helper():
 def _in_place(rows, arg, xs, work):
     """``rows(arg, xs, work)``, which leaves its result in ``work[0]``, on the two halves of a large block at once.
 
-    The helper runs the first half in a copy of the caller's context, so
-    numpy's error state (a context variable) holds there too, and its
-    exception is raised here.  Where the process may not use two CPUs, or
-    another thread holds the helper, this thread runs the halves in turn.
-    Each point takes the same steps either way, so the bits do not change.
-    Returns ``work[0]``.
+    The helper runs the first half under the caller's numpy error state,
+    and its exception is raised here.  Where the halves would be small, the
+    process may not use two CPUs, or another thread holds the helper, this
+    thread runs the whole block, ``_PIECE`` points at a time.  Each point
+    takes the same steps either way, so the bits do not change.  Returns
+    ``work[0]``.
     """
     h = xs.size // 2
     if h < _HALF_MIN:
         rows(arg, xs, work)
         return work[0]
+    helper = _helper()
+    if helper is None or not helper.owner.acquire(blocking=False):
+        # alone, this thread runs the block in pieces whose live arrays stay
+        # in L2; whole 131072-point taylor_kernel halves ran 3% slower here
+        for i in range(0, xs.size, _PIECE):
+            rows(arg, xs[i:i + _PIECE], (work[0][i:i + _PIECE], *work[1:]))
+        return work[0]
     # the first row holds the block, each other row two pieces
     first = (work[0][:h], *(w[:w.size // 2] for w in work[1:]))
     second = (work[0][h:], *(w[w.size // 2:] for w in work[1:]))
-    helper = _helper()
-    if helper is not None and helper.owner.acquire(blocking=False):
-        helper.tasks.put((helper.context(), rows, (arg, xs[:h], first)))
-        try:
-            rows(arg, xs[h:], second)
-        finally:
-            # an interrupt in this wait leaves the helper owned, and later
-            # calls run both halves themselves
-            error = helper.done.get()
-            helper.owner.release()
-        if error is not None:
-            raise error
-    else:
-        rows(arg, xs[:h], first)
+    import queue
+
+    import numpy as np
+
+    done = queue.SimpleQueue()
+    try:
+        helper.tasks.put([np.geterr(), np.geterrcall(), rows, arg, xs[:h], first, done])
         rows(arg, xs[h:], second)
+        error = done.get()
+    finally:
+        # after an error or an interrupt here the helper may still run its
+        # half, on arrays that it holds and no one reads; it runs the next
+        # caller's half after that
+        helper.owner.release()
+    if error is not None:
+        raise error
     return work[0]
 
 

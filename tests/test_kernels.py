@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -311,6 +312,7 @@ def test_an_error_in_the_first_half_reaches_the_caller(halves):
 
 def test_a_busy_helper_leaves_both_halves_to_the_caller(monkeypatch):
     monkeypatch.setattr(_cpus, "_decision", True)
+    threads = _record_row_threads(monkeypatch)
     helper = _kernels._helper()
     xs = _points(2 * B + 1)
     assert helper.owner.acquire(timeout=60)
@@ -319,9 +321,66 @@ def test_a_busy_helper_leaves_both_halves_to_the_caller(monkeypatch):
             got = taylor_eval(33, xs)
     finally:
         helper.owner.release()
-    assert helper.tasks.empty()
+    assert threads == {threading.current_thread().name}
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_same_bits(_kernels.taylor_kernel(33, xs), got)
+
+
+def test_an_interrupted_wait_leaves_the_helper_serving(monkeypatch):
+    monkeypatch.setattr(_cpus, "_decision", True)
+    xs, n = _points(2 * B), 33
+    # the helper's first half waits until the caller's wait is interrupted
+    interrupted, taylor_rows = threading.Event(), _kernels._taylor_rows
+
+    def rows(arg, points, work):
+        if threading.current_thread() is not threading.main_thread():
+            interrupted.wait(60)
+        taylor_rows(arg, points, work)
+
+    def interrupt(signum, frame):
+        interrupted.set()
+        raise KeyboardInterrupt
+
+    work = tuple(np.empty(B) for _ in range(4))
+    old = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(KeyboardInterrupt), np.errstate(over="ignore", invalid="ignore"):
+            _kernels._in_place(rows, n, xs[:B], work)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert interrupted.is_set()
+    # the next large evaluation runs its first halves in the helper again
+    threads = _record_row_threads(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = taylor_eval(n, xs)
+        _assert_same_bits(_kernels.taylor_kernel(n, xs), got)
+    assert len(threads) == 2 and threading.current_thread().name in threads
+
+
+def test_an_error_callback_hears_the_first_half(halves):
+    # numpy's "call" mode reaches the helper's half too
+    heard = []
+    xs = np.repeat([-1e300, -2.0], B // 2)
+    with np.errstate(over="call", invalid="ignore", call=lambda kind, flag: heard.append(kind)):
+        taylor_eval(64, xs)
+    assert "overflow" in heard
+
+
+def test_the_buffers_go_with_their_call(halves, monkeypatch):
+    # the helper lets go of a block's arrays before the caller wakes, so no
+    # buffer outlives its call of evaluate to lie beside the next call's
+    buffers, rows = [], _kernels._taylor_rows
+
+    def record(n, xs, work):
+        buffers.append(weakref.ref(work[0].base))
+        rows(n, xs, work)
+
+    monkeypatch.setattr(_kernels, "_taylor_rows", record)
+    with np.errstate(over="ignore", invalid="ignore"):
+        taylor_eval(33, _points(2 * B))
+    assert buffers and all(ref() is None for ref in buffers)
 
 
 def test_every_kernel_call_stays_in_the_calling_thread(monkeypatch):
@@ -332,7 +391,7 @@ def test_every_kernel_call_stays_in_the_calling_thread(monkeypatch):
 
     def recorder(name, function):
         def record(*args, **kwargs):
-            seen.setdefault(name, set()).add(threading.get_ident())
+            seen.setdefault(name, set()).add(threading.current_thread().name)
             return function(*args, **kwargs)
         return record
 
@@ -343,9 +402,23 @@ def test_every_kernel_call_stays_in_the_calling_thread(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         clenshaw_eval(partial_sum(8), xs)
         taylor_eval(8, xs)
-    here, helper = threading.get_ident(), _kernels._HELPER["helper"].thread.ident
+    here = threading.current_thread().name
+    [helper] = seen["_taylor_rows"] - {here}
+    assert helper.startswith("chebbound-kernels")
     assert seen == {"evaluate": {here}, "clenshaw_kernel": {here}, "taylor_kernel": {here},
                     "_clenshaw_rows": {here, helper}, "_taylor_rows": {here, helper}}
+
+
+def _record_row_threads(monkeypatch):
+    """The names of the threads that run ``_taylor_rows`` from now on."""
+    threads, rows = set(), _kernels._taylor_rows
+
+    def record(*args):
+        threads.add(threading.current_thread().name)
+        rows(*args)
+
+    monkeypatch.setattr(_kernels, "_taylor_rows", record)
+    return threads
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
