@@ -4,12 +4,35 @@ Each kernel runs a Python loop over the recurrence index in one of two
 forms.  Without ``work`` it uses only arithmetic operators, so one function
 serves both kinds of point: ``xs`` is either a Python float, giving a float,
 or a float64 ndarray, giving an ndarray of the same shape with one
-whole-array operation per step.  With ``work``, a tuple of float64 buffers,
-it runs the same operations in the same order in place, each ufunc writing
-to a buffer given as its positional output, and returns the first buffer.
-IEEE arithmetic rounds each element on its own, so a float, the same value
-inside an array and either loop form give the same bits.  The operator
-form is tested first, so a float pays one ``is None`` check.
+whole-array operation per step.  IEEE arithmetic rounds each element on its
+own, so a float and the same value inside an array give the same bits.
+The operator form is tested first, so a float pays one ``is None`` check,
+and it runs every operation of the recurrence, with no branch per step.
+
+With ``work``, a tuple of float64 buffers, a kernel runs in place, each
+ufunc writing to a buffer given as its positional output, and returns the
+first buffer.  This form leaves out the operations that cannot change a
+bit, so the two forms no longer apply identical operations, but they give
+identical bits:
+
+- ``t - 0.0`` is ``t`` for every t, -0.0 and NaN included, so Clenshaw's
+  first two steps take the operator form's scalar ``b1 = b2 = 0.0`` and
+  skip its subtracts; ``1.0 * x`` is ``x``, so Taylor's first step divides
+  the points themselves (degree 0 keeps ``x ** 0.0``).
+- Clenshaw skips the add of a zero coefficient at every step but the last,
+  which adds ``coeffs[0]``.  Adding -0.0 changes nothing, and adding +0.0
+  changes only -0.0, into +0.0, so at each step the two forms hold the same
+  value up to the sign of a zero: ``+ - *`` of a zero with a nonzero, an
+  infinity or a NaN give the same result for either zero.  The last add
+  ends that: a sum with ``coeffs[0]`` is -0.0 only where both terms are,
+  so unless ``coeffs[0]`` is -0.0 both forms hold the same value, never
+  -0.0, and ``t - b2`` of such a t does not depend on the sign of a zero
+  b2.  Where ``coeffs[0]`` is -0.0 every add is kept: the series ``[-0.0,
+  0.0]`` at x = -0.0 gives -0.0 with its add and +0.0 without.
+
+``eval_T`` runs Clenshaw on a unit vector and ``eval_U`` on one that is
+zero at every other index, so the skipped adds cut their passes by about
+a third and a sixth.
 
 ``evaluate`` is the one route from a point argument to a kernel.  A scalar
 (a Python or numpy int or float, or a 0-d array) runs the operator form in
@@ -50,18 +73,28 @@ it then runs both kernels ``_PIECE`` points at a time, so one CPU keeps the
 cache behaviour of one-thread 32768-point blocks.  A forked child starts
 its own helper.
 
-``evaluate`` cuts four buffers from one allocation, each on a 64-byte
-boundary: one of the block's size, which ends up holding the result, and
-three of two pieces each, the scratch rows of ``clenshaw_kernel``'s two
-halves.  The allocation stays under the 4 MiB from which numpy asks for
-huge pages, whose first touches would make it resident 2 MiB at a time.
-The operator form's temporaries land wherever malloc puts them, so its
-timing followed the heap's history: the in-place loop ran a 10-evaluation
-grid round in 717-728 ms on aligned buffers but in 868-1041 ms on buffers
-8, 16, 32 or 48 bytes past a boundary, and on 32768 points the operator
-loop took 235 minor page faults against 31 in place.  The buffers belong to
-one call of ``evaluate`` and are never kept, so threads may evaluate at the
-same time, and no result shares memory with them.
+``evaluate`` hands each block its slice of the result as the first work
+buffer, so the kernel writes every point where it stays, with no copy.
+From ``_PLAIN`` = 2048 points on, the result starts on a 64-byte boundary;
+``BLOCK``, its halves and ``_PIECE`` are multiples of 8 points, so every
+block, half and piece does too.  A second aligned allocation holds three
+rows of two pieces each, the scratch rows of ``clenshaw_kernel``'s two
+halves; at 1.5 MiB it stays under the 4 MiB from which numpy asks for huge
+pages, whose first touches would make it resident 2 MiB at a time.  The
+operator form's temporaries land wherever malloc puts them, so its timing
+followed the heap's history: the in-place loop ran a 10-evaluation grid
+round in 717-728 ms on aligned buffers but in 868-1041 ms on buffers 8, 16,
+32 or 48 bytes past a boundary, and on 32768 points the operator loop took
+235 minor page faults against 31 in place.  An array of fewer points runs
+on four plain ``np.empty`` buffers, whose addresses are not read: each read
+(``ctypes.data``) costs over 1 us, and the 64 500-point scans of
+``certify`` ran in 2.9 ms on plain buffers against 3.2 ms on aligned ones.
+Plain buffers do not pay off above that: Clenshaw on 4096 points ran a
+quarter slower on them, and on 16384 points or more each call took 80 to
+200 minor page faults, most likely as glibc trimmed the freed buffers from
+its heap between calls.  The buffers belong to one call of ``evaluate`` and
+only the result is returned, so threads may evaluate at the same time, and
+no result shares memory with another.
 
 numpy is imported only in the in-place branch and in the array branch of
 ``evaluate``, which only arrays reach, so a float point runs without it.
@@ -80,6 +113,7 @@ the one-pass loops.
 
 from __future__ import annotations
 
+import math
 import os
 
 # points per block, run in two halves (see above)
@@ -88,9 +122,11 @@ BLOCK = 262144
 _PIECE = 32768
 # points per half below which a block runs whole in the calling thread
 _HALF_MIN = 16384
+# points below which evaluate's buffers are plain, not aligned (see above)
+_PLAIN = 2048
 
-# buffers cut by ``evaluate``: the result, which clenshaw_kernel also holds
-# 2x in, and clenshaw_kernel's b1, b2 and step result, a piece of each
+# work buffers from ``evaluate``: the result, which clenshaw_kernel also
+# holds 2x in, and clenshaw_kernel's b1, b2 and step result, a piece of each
 _BUFFERS = 4
 _ALIGN = 64
 
@@ -123,23 +159,30 @@ def _clenshaw_rows(coeffs, xs, work):
     import numpy as np
 
     multiply, add, subtract = np.multiply, np.add, np.subtract
+    # a zero coefficient's add is skipped at every step but the last, unless
+    # that last add, of coeffs[0], is of -0.0 (see above)
+    keep = coeffs[0] == 0.0 and math.copysign(1.0, coeffs[0]) < 0.0
     for i in range(0, xs.size, _PIECE):
         x = xs[i:i + _PIECE]
         # 2x lies where the piece's result goes, which overwrites it last
         x2 = work[0][i:i + x.size]
-        b1, b2, t = (w[:x.size] for w in work[1:])
         multiply(2.0, x, x2)
-        # zeros give the bits of the operator form's scalar 0.0 start
-        b1.fill(0.0)
-        b2.fill(0.0)
-        for c in coeffs[:0:-1]:
+        # b1 and b2 start as the operator form's scalar 0.0, and t - 0.0 is
+        # t; step j writes the one buffer that holds neither b1 nor b2
+        rows = [w[:x.size] for w in work[1:]]
+        b1 = b2 = 0.0
+        for j, c in enumerate(coeffs[:0:-1]):
+            t = rows[j % 3]
             multiply(x2, b1, t)
-            add(t, c, t)
-            subtract(t, b2, t)
-            b1, b2, t = t, b1, b2
-        multiply(x, b1, t)
-        add(t, coeffs[0], t)
-        subtract(t, b2, x2)
+            if c or keep:
+                add(t, c, t)
+            if j > 1:
+                subtract(t, b2, t)
+            b1, b2 = t, b1
+        multiply(x, b1, x2)
+        add(x2, coeffs[0], x2)
+        if len(coeffs) > 2:
+            subtract(x2, b2, x2)
 
 
 def taylor_kernel(n, xs, work=None):
@@ -162,8 +205,13 @@ def _taylor_rows(n, xs, work):
 
     multiply, divide, add = np.multiply, np.divide, np.add
     v = work[0]
-    np.power(xs, 0.0, v)
-    for k in range(n, 0, -1):
+    if not n:
+        np.power(xs, 0.0, v)
+        return
+    # the first step's v * xs is 1.0 * xs, which is xs bit for bit
+    divide(xs, n, v)
+    add(1.0, v, v)
+    for k in range(n - 1, 0, -1):
         multiply(v, xs, v)
         divide(v, k, v)
         add(1.0, v, v)
@@ -288,11 +336,13 @@ def evaluate(kernel, arg, x):
     """kernel(arg, points) at the points of x: a float for a scalar, else an ndarray.
 
     An array's result is a C-ordered float64 array of its shape.  ``kernel``
-    is called once per block, with four aligned work buffers as its third
-    argument: the first of the block's size, the others of at most two
-    ``_PIECE``s.  Callers pass it as ``_kernels.<name>``
-    looked up at call time, so a wrapper set on that module attribute
-    (perfbench's tracer) sees every call.
+    is called once per block, with four work buffers as its third argument:
+    the block's slice of the result, which the kernel fills, and three of
+    at most two ``_PIECE``s.  An array of fewer than ``_PLAIN`` points runs
+    on plain ``np.empty`` buffers; in a larger one, every buffer starts on
+    a 64-byte boundary.  Callers pass it as ``_kernels.<name>`` looked up
+    at call time, so a wrapper set on that module attribute (perfbench's
+    tracer) sees every call.
     """
     if isinstance(x, (int, float)):
         return kernel(arg, float(x))
@@ -302,20 +352,27 @@ def evaluate(kernel, arg, x):
     if xs.ndim == 0:
         return kernel(arg, float(xs))
     flat = xs.reshape(-1)
-    out = np.empty(flat.size)
-    # the block's row, then three rows of two clenshaw_kernel pieces each,
-    # each row's bytes rounded up to the alignment, plus room to align the
-    # first; no closure here, whose cells a float would pay for.  Under 4
-    # MiB, numpy asks for no huge pages, which a first touch would make
-    # resident 2 MiB at a time.
-    size = min(flat.size, BLOCK)
-    whole = -(-size * 8 // _ALIGN) * _ALIGN // 8
+    size = flat.size
+    if size < _PLAIN:
+        # one block in this thread, on buffers whose addresses are not read
+        out = np.empty(size)
+        kernel(arg, flat, (out, np.empty(size), np.empty(size), np.empty(size)))
+        return out.reshape(xs.shape)
+    out = _aligned(np, size)
+    # clenshaw_kernel's b1, b2 and step result, two pieces each, each row's
+    # bytes a multiple of the alignment; no closure here, whose cells a
+    # float would pay for.  Under 4 MiB, numpy asks for no huge pages,
+    # which a first touch would make resident 2 MiB at a time.
     part = -(-min(size, 2 * _PIECE) * 8 // _ALIGN) * _ALIGN // 8
-    raw = np.empty((whole + (_BUFFERS - 1) * part) * 8 + _ALIGN, dtype=np.uint8)
-    first = -raw.ctypes.data % _ALIGN
-    rows = raw[first:first + (whole + (_BUFFERS - 1) * part) * 8].view(np.float64)
-    head, tail = rows[:whole], rows[whole:].reshape(_BUFFERS - 1, part)
-    for i in range(0, flat.size, BLOCK):
+    rows = _aligned(np, (_BUFFERS - 1) * part).reshape(_BUFFERS - 1, part)
+    for i in range(0, size, BLOCK):
         block = flat[i:i + BLOCK]
-        out[i:i + BLOCK] = kernel(arg, block, (head[:block.size], *tail[:, :block.size]))
+        kernel(arg, block, (out[i:i + BLOCK], *rows[:, :block.size]))
     return out.reshape(xs.shape)
+
+
+def _aligned(np, size):
+    """An uninitialised float64 array of ``size`` points on a 64-byte boundary."""
+    raw = np.empty(size * 8 + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start:start + size * 8].view(np.float64)

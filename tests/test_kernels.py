@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import signal
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chebbound import _cpus, _kernels, clenshaw_eval, eval_T, eval_U, exp_cheb_coefficients, partial_sum, taylor_eval
+from chebbound import ChebSeries, _cpus, _kernels, clenshaw_eval, eval_T, eval_U, exp_cheb_coefficients, partial_sum, taylor_eval
 from chebbound.chebpoly import u_to_t_coeffs
 
 
@@ -209,7 +210,7 @@ def test_a_result_never_shares_memory_with_the_next():
                 assert not np.shares_memory(a, b)
 
 
-@pytest.mark.parametrize("size", [1, B - 1, B])
+@pytest.mark.parametrize("size", [1, _kernels._PLAIN - 1, _kernels._PLAIN, B - 1, B])
 def test_an_array_of_one_block_or_less_runs_in_place(size, monkeypatch):
     xs = _points(size)
     seen = []
@@ -225,13 +226,17 @@ def test_an_array_of_one_block_or_less_runs_in_place(size, monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         for evaluate, _, _ in _blocked_evaluators():
             seen.clear()
-            evaluate(xs)
-            # one call, on the whole array, with four aligned buffers: the first
-            # of its size, the others of at most two clenshaw_kernel pieces
+            result = evaluate(xs)
+            # one call, on the whole array, with four buffers: the first the
+            # result itself, the others of at most two clenshaw_kernel pieces;
+            # on 64-byte boundaries from _kernels._PLAIN points on
             [(points, work)] = seen
             assert points == size and work is not None and len(work) == 4
+            assert np.shares_memory(result, work[0])
+            aligned = size >= _kernels._PLAIN
             for w, n in zip(work, [size] + [min(size, 2 * _kernels._PIECE)] * 3):
-                assert w.dtype == np.float64 and w.size == n and w.ctypes.data % 64 == 0
+                assert w.dtype == np.float64 and w.size == n
+                assert w.ctypes.data % 64 == 0 or not aligned
 
 
 def test_two_threads_get_the_bits_of_sequential_calls():
@@ -450,3 +455,45 @@ def test_a_forked_child_starts_its_own_helper(monkeypatch):
         os.waitpid(pid, 0)
         pytest.fail("the forked child did not finish within 60 s")
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+# --- skipped zero adds ------------------------------------------------------
+# The in-place Clenshaw loop skips the add of a zero coefficient at every step
+# but the last, unless coeffs[0] is -0.0; the operator form adds every one.
+# Skipping can only flip a zero's sign, which the last add undoes.
+def _sparse_series():
+    # every vector of up to four entries from +-0 and +-1: [-0.0, 0.0] among them
+    yield from (list(v) for n in range(1, 5) for v in itertools.product((0.0, -0.0, 1.0, -1.0), repeat=n))
+    # longer runs of zeros, with tiny entries whose products underflow to zeros
+    rng = np.random.default_rng(28)
+    values = (0.0, -0.0, 0.0, -0.0, 1.0, -0.5, 1e-300, -1e-300)
+    for n in range(5, 13):
+        for _ in range(6):
+            v = rng.choice(values, n).tolist()
+            yield v
+            yield [-0.0] + v[1:]
+
+
+ZERO_SERIES = list(_sparse_series())
+ZERO_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+ZERO_POINTS += (np.random.default_rng(29).choice((-1.0, 1.0), 53)
+                * 10.0 ** np.random.default_rng(30).uniform(-320.0, 10.0, 53)).tolist()
+
+
+@pytest.mark.parametrize("size", [1, 2 * H, B + 1])
+def test_skipped_zero_adds_keep_every_bit(halves, size):
+    assert "[-0.0, 0.0]" in map(repr, ZERO_SERIES)
+    # each point lies in both halves of a split block and in both blocks
+    at = np.arange(size) % len(ZERO_POINTS)
+    xs = np.array(ZERO_POINTS)[at]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for coeffs in ZERO_SERIES:
+            series = ChebSeries(coeffs)
+            want = np.array([_kernels.clenshaw_kernel(coeffs, x) for x in ZERO_POINTS])
+            if size == 1:
+                got = np.array([clenshaw_eval(series, np.array([x]))[0] for x in ZERO_POINTS])
+            else:
+                want, got = want[at], clenshaw_eval(series, xs)
+            # as integers, so -0.0 and +0.0 differ
+            assert np.array_equal(np.isnan(want), np.isnan(got)), coeffs
+            assert np.array_equal(want[~np.isnan(want)].view(np.uint64), got[~np.isnan(got)].view(np.uint64)), coeffs
