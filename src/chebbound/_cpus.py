@@ -7,7 +7,7 @@ up to the hierarchy's mount root sets, in cgroup v2's ``cpu.max`` or v1's
 ``cpu.cfs_quota_us`` over ``cpu.cfs_period_us``; none where no file can be
 read.  :func:`two_cpus` decides once per process, and a forked child
 decides again: reading the quota takes tens of microseconds, and the
-kernels ask once per block.
+kernels ask once per large array.
 """
 
 from __future__ import annotations

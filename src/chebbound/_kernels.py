@@ -37,64 +37,65 @@ a third and a sixth.
 ``evaluate`` is the one route from a point argument to a kernel.  A scalar
 (a Python or numpy int or float, or a 0-d array) runs the operator form in
 Python floats and gives a Python float.  Every other array, whatever its
-size, runs in place, ``BLOCK`` points at a time, and gives a float64
-ndarray of its shape.  Over the whole array at once, each step would stream
-the points and the recurrence's arrays through memory; a 2M-point array is
-16 MB, far above the per-core L2 cache.  Over a piece of 32768 points the
-live arrays (the points and four buffers: 1.25 MiB) stay in L2 for all
-steps; 32768 was the fastest block of two scans of 4096..131072 points on
-2M points (CHANGES.md gives the figures).  Blocks and pieces cannot change
-a bit: ``+ - * /`` round each element on its own, whatever the slice or the
-SIMD path, and each applies the same operations in the same order to each
-point.
+size, runs in place, in one kernel call, and gives a float64 ndarray of its
+shape.  Over the whole array at once, each step would stream the points
+and the recurrence's arrays through memory; a 2M-point array is 16 MB, far
+above the per-core L2 cache.  So the kernel splits a large array into two
+halves and each half into pieces.  Over a ``clenshaw_kernel`` piece of
+``_PIECE`` = 32768 points the live arrays (the points and four buffers:
+1.25 MiB) stay in L2 for all steps; 32768 was the fastest size of two scans
+of 4096..131072 points on 2M points (CHANGES.md gives the figures).
+``taylor_kernel``, bound by its divisions, runs pieces of 4 * ``_PIECE`` =
+131072 points (two live arrays of 1 MiB); whole 1M-point halves ran about
+15% slower.  Halves and pieces cannot change a bit: ``+ - * /`` round each
+element on its own, whatever the slice or the SIMD path, and each applies
+the same operations in the same order to each point.
 
-A block of ``BLOCK`` = 262144 points runs in two halves: a daemon helper
-thread takes the first while the calling thread takes the second, and
-numpy's ufuncs release the GIL inside their loops, so the two run on two
-CPUs at once.  ``taylor_kernel``, bound by its divisions, runs each half
-whole (two live arrays of 1 MiB); ``clenshaw_kernel`` runs each half in
-``_PIECE`` = 32768-point pieces, as whole halves (five live arrays of 1
-MiB, above L2) ran slower than one thread.  Halves are that large because a
-thread that waits for the GIL on a 2-vCPU KVM guest woke too late to catch
-the other thread's next ufunc of 32768 points (about 10 us): both halves of
-a 65536-point block then ran one after the other, while ufuncs of 131072
-points overlapped from the first call.  The split sits inside the kernel
-call: the helper runs only the private step loops (``_clenshaw_rows``,
-``_taylor_rows``), so every call of a module-level kernel, and every span
-that perfbench's tracer (one span stack for all threads) records for it,
-stays in the calling thread, and the span's wall time covers both halves.
-The helper runs its half under the caller's numpy error state, which numpy
-1 keeps per thread and numpy 2 per context, and the caller raises the
-helper's exception.  The calling thread runs a block alone where its
-halves would hold fewer than ``_HALF_MIN`` points (the CLI's 8192-row
-chunks, small grids, every float point), where the process may not use
-two CPUs (``_cpus.two_cpus``) and where another thread holds the helper;
-it then runs both kernels ``_PIECE`` points at a time, so one CPU keeps the
-cache behaviour of one-thread 32768-point blocks.  A forked child starts
-its own helper.
+A daemon helper thread runs the first half while the calling thread runs
+the second, and numpy's ufuncs release the GIL inside their loops, so the
+two run on two CPUs at once.  Each array makes one hand-off to the helper,
+whose queue runs the first halves of concurrent callers one after another.
+A thread that waits for the GIL on a 2-vCPU KVM guest woke too late to
+catch the other thread's next ufunc of 32768 points (about 10 us), while
+ufuncs of 131072 points overlapped from the first call, one more reason
+for Taylor's larger pieces.  The split sits inside the kernel call: the helper runs only
+the private step loops (``_clenshaw_rows``, ``_taylor_rows``), so every
+call of a module-level kernel, and every span that perfbench's tracer (one
+span stack for all threads) records for it, stays in the calling thread,
+and the span's wall time covers both halves.  The helper runs its half
+under the caller's numpy error state, which numpy 1 keeps per thread and
+numpy 2 per context, and the caller raises the helper's exception.  The
+calling thread runs an array at once where its halves would hold fewer
+than ``_HALF_MIN`` points (the CLI's 8192-row chunks, small grids).  It
+runs a larger one alone, ``_PIECE`` points at a time for both kernels,
+where the process may not use two CPUs (``_cpus.two_cpus``) and in the
+helper itself, where a numpy error callback may evaluate an array: a
+hand-off there would wait for ever on its own queue.  A forked child
+starts its own helper.
 
-``evaluate`` hands each block its slice of the result as the first work
-buffer, so the kernel writes every point where it stays, with no copy.
-From ``_PLAIN`` = 2048 points on, the result starts on a 64-byte boundary;
-``BLOCK``, its halves and ``_PIECE`` are multiples of 8 points, so every
-block, half and piece does too.  A second aligned allocation holds three
-rows of two pieces each, the scratch rows of ``clenshaw_kernel``'s two
-halves; at 1.5 MiB it stays under the 4 MiB from which numpy asks for huge
-pages, whose first touches would make it resident 2 MiB at a time.  The
-operator form's temporaries land wherever malloc puts them, so its timing
-followed the heap's history: the in-place loop ran a 10-evaluation grid
-round in 717-728 ms on aligned buffers but in 868-1041 ms on buffers 8, 16,
-32 or 48 bytes past a boundary, and on 32768 points the operator loop took
-235 minor page faults against 31 in place.  An array of fewer points runs
-on four plain ``np.empty`` buffers, whose addresses are not read: each read
-(``ctypes.data``) costs over 1 us, and the 64 500-point scans of
-``certify`` ran in 2.9 ms on plain buffers against 3.2 ms on aligned ones.
-Plain buffers do not pay off above that: Clenshaw on 4096 points ran a
-quarter slower on them, and on 16384 points or more each call took 80 to
-200 minor page faults, most likely as glibc trimmed the freed buffers from
-its heap between calls.  The buffers belong to one call of ``evaluate`` and
-only the result is returned, so threads may evaluate at the same time, and
-no result shares memory with another.
+``evaluate`` hands the kernel the result as the first work buffer, so the
+kernel writes every point where it stays, with no copy.  From ``_PLAIN`` =
+2048 points on, the result starts on a 64-byte boundary; the first half
+ends on a multiple of 8 points and each piece holds a multiple of 8, so
+every half and piece starts on one too.  A second aligned allocation holds
+three rows, the scratch rows of ``clenshaw_kernel``: each holds one piece
+of each half, sized for the larger half, or the whole array where it runs
+at once (``_row_points``).  At 1.5 MiB at most it stays under the 4 MiB
+from which numpy asks for huge pages, whose first touches would make it
+resident 2 MiB at a time.  The operator form's temporaries land wherever
+malloc puts them, so its timing followed the heap's history: the in-place
+loop ran a 10-evaluation grid round in 717-728 ms on aligned buffers but
+in 868-1041 ms on buffers 8, 16, 32 or 48 bytes past a boundary, and on
+32768 points the operator loop took 235 minor page faults against 31 in
+place.  An array of fewer points runs on four plain ``np.empty`` buffers,
+whose addresses are not read: each read (``ctypes.data``) costs over 1 us,
+and the 64 500-point scans of ``certify`` ran in 2.9 ms on plain buffers
+against 3.2 ms on aligned ones.  Plain buffers do not pay off above that:
+Clenshaw on 4096 points ran a quarter slower on them, and on 16384 points
+or more each call took 80 to 200 minor page faults, most likely as glibc
+trimmed the freed buffers from its heap between calls.  The buffers belong
+to one call of ``evaluate`` and only the result is returned, so threads
+may evaluate at the same time, and no result shares memory with another.
 
 numpy is imported only in the in-place branch and in the array branch of
 ``evaluate``, which only arrays reach, so a float point runs without it.
@@ -116,11 +117,9 @@ from __future__ import annotations
 import math
 import os
 
-# points per block, run in two halves (see above)
-BLOCK = 262144
-# points per piece of a clenshaw_kernel half: its live arrays stay in L2
+# points per piece of clenshaw_kernel: its live arrays stay in L2
 _PIECE = 32768
-# points per half below which a block runs whole in the calling thread
+# points per half below which an array runs whole in the calling thread
 _HALF_MIN = 16384
 # points below which evaluate's buffers are plain, not aligned (see above)
 _PLAIN = 2048
@@ -130,7 +129,7 @@ _PLAIN = 2048
 _BUFFERS = 4
 _ALIGN = 64
 
-# this process's helper thread, under "helper", once a split block starts it
+# this process's helper thread, under "helper", once a split array starts it
 _HELPER = {}
 # a forked child has no helper thread, whatever the parent's state
 if hasattr(os, "register_at_fork"):
@@ -142,8 +141,8 @@ def clenshaw_kernel(coeffs, xs, work=None):
 
     ``coeffs`` is any sequence of floats, at least one long.  ``work``, if
     given, holds four float64 arrays, the first of ``xs``' size and the
-    others of at least ``min(xs.size, 2 * _PIECE)`` points; the result is
-    then the first.
+    others of at least ``_row_points(xs.size)`` points; the result is then
+    the first.
     """
     if work is None:
         # 2.0 * xs * b1 is (2.0 * xs) * b1, so hoisting 2x keeps every bit
@@ -152,7 +151,7 @@ def clenshaw_kernel(coeffs, xs, work=None):
         for c in coeffs[:0:-1]:
             b1, b2 = x2 * b1 + c - b2, b1
         return xs * b1 + coeffs[0] - b2
-    return _in_place(_clenshaw_rows, coeffs, xs, work)
+    return _in_place(_clenshaw_rows, _PIECE, coeffs, xs, work)
 
 
 def _clenshaw_rows(coeffs, xs, work):
@@ -162,27 +161,25 @@ def _clenshaw_rows(coeffs, xs, work):
     # a zero coefficient's add is skipped at every step but the last, unless
     # that last add, of coeffs[0], is of -0.0 (see above)
     keep = coeffs[0] == 0.0 and math.copysign(1.0, coeffs[0]) < 0.0
-    for i in range(0, xs.size, _PIECE):
-        x = xs[i:i + _PIECE]
-        # 2x lies where the piece's result goes, which overwrites it last
-        x2 = work[0][i:i + x.size]
-        multiply(2.0, x, x2)
-        # b1 and b2 start as the operator form's scalar 0.0, and t - 0.0 is
-        # t; step j writes the one buffer that holds neither b1 nor b2
-        rows = [w[:x.size] for w in work[1:]]
-        b1 = b2 = 0.0
-        for j, c in enumerate(coeffs[:0:-1]):
-            t = rows[j % 3]
-            multiply(x2, b1, t)
-            if c or keep:
-                add(t, c, t)
-            if j > 1:
-                subtract(t, b2, t)
-            b1, b2 = t, b1
-        multiply(x, b1, x2)
-        add(x2, coeffs[0], x2)
-        if len(coeffs) > 2:
-            subtract(x2, b2, x2)
+    # 2x lies where the result goes, which overwrites it last
+    x2 = work[0]
+    multiply(2.0, xs, x2)
+    # b1 and b2 start as the operator form's scalar 0.0, and t - 0.0 is t;
+    # step j writes the one buffer that holds neither b1 nor b2
+    rows = [w[:xs.size] for w in work[1:]]
+    b1 = b2 = 0.0
+    for j, c in enumerate(coeffs[:0:-1]):
+        t = rows[j % 3]
+        multiply(x2, b1, t)
+        if c or keep:
+            add(t, c, t)
+        if j > 1:
+            subtract(t, b2, t)
+        b1, b2 = t, b1
+    multiply(xs, b1, x2)
+    add(x2, coeffs[0], x2)
+    if len(coeffs) > 2:
+        subtract(x2, b2, x2)
 
 
 def taylor_kernel(n, xs, work=None):
@@ -197,7 +194,8 @@ def taylor_kernel(n, xs, work=None):
         for k in range(n, 0, -1):
             v = 1.0 + v * xs / k
         return v
-    return _in_place(_taylor_rows, n, xs, work)
+    # whole 1M-point halves ran about 15% slower than these pieces
+    return _in_place(_taylor_rows, 4 * _PIECE, n, xs, work)
 
 
 def _taylor_rows(n, xs, work):
@@ -218,20 +216,20 @@ def _taylor_rows(n, xs, work):
 
 
 class _Helper:
-    """A daemon thread that runs the first half of a block while the calling thread runs the second.
+    """A daemon thread that runs the first half of an array while the calling thread runs the second.
 
-    The caller that holds ``owner`` puts [err, call, rows, *args, done] on
-    ``tasks``; the thread runs ``rows(*args)`` under numpy's error state
-    ``err`` and error callback ``call``, and puts None, or the exception it
-    raised, on ``done``.  Each call has its own ``done``, so a call that an
-    interrupt takes from its wait leaves no result for the next.
+    A caller puts [err, call, function, *args, done] on ``tasks``; the
+    thread runs ``function(*args)`` under numpy's error state ``err`` and
+    error callback ``call``, and puts None, or the exception it raised, on
+    ``done``.  Tasks run one at a time, in the order put.  Each call has its
+    own ``done``, so a call that an interrupt takes from its wait leaves no
+    result for the next.
     """
 
     def __init__(self):
         import queue
         import threading
 
-        self.owner = threading.Lock()
         self.tasks = queue.SimpleQueue()
         self.thread = threading.Thread(target=self._serve, name="chebbound-kernels", daemon=True)
 
@@ -245,22 +243,29 @@ class _Helper:
     def _run(job):
         # numpy 1 keeps its error state per thread and numpy 2 per context,
         # so the caller's is set here.  job is emptied, and after a success
-        # this frame is gone, before the caller wakes: a block's buffer that
+        # this frame is gone, before the caller wakes: an array's buffer that
         # outlived its call of evaluate would lie beside the next call's
         import numpy as np
 
-        err, call, rows, *args = job
+        err, call, function, *args = job
         job.clear()
         try:
             with np.errstate(call=call, **err):
-                rows(*args)
+                function(*args)
         except BaseException as exc:
             return exc
         return None
 
 
 def _helper():
-    """This process's helper, started on first use, or None where it may not run on two CPUs."""
+    """This process's helper, started on first use.
+
+    None where the process may not run on two CPUs, and in the helper
+    itself: a numpy error callback that evaluates an array there would
+    otherwise wait on its own queue for ever.
+    """
+    import threading
+
     from . import _cpus
 
     if not _cpus.two_cpus():
@@ -272,47 +277,62 @@ def _helper():
         helper = _HELPER.setdefault("helper", mine)
         if helper is mine:
             mine.thread.start()
-    return helper
+    return None if helper.thread is threading.current_thread() else helper
 
 
-def _in_place(rows, arg, xs, work):
-    """``rows(arg, xs, work)``, which leaves its result in ``work[0]``, on the two halves of a large block at once.
+def _row_points(size):
+    """Points per scratch row for an array of ``size`` points.
 
-    The helper runs the first half under the caller's numpy error state,
-    and its exception is raised here.  Where the halves would be small, the
-    process may not use two CPUs, or another thread holds the helper, this
-    thread runs the whole block, ``_PIECE`` points at a time.  Each point
-    takes the same steps either way, so the bits do not change.  Returns
-    ``work[0]``.
+    A row holds a ``clenshaw_kernel`` piece of each half, or the whole array
+    where it runs at once.
     """
-    h = xs.size // 2
-    if h < _HALF_MIN:
+    # the second half holds at most 15 points more than the first; rounded
+    # to 8 points, each half's piece starts on a 64-byte boundary
+    return 2 * min(size // 16 * 8 + 16, _PIECE)
+
+
+def _pieces(rows, piece, arg, xs, work):
+    """``rows`` on ``xs``, ``piece`` points at a time, each into its slice of ``work[0]``."""
+    out = work[0]
+    for i in range(0, xs.size, piece):
+        rows(arg, xs[i:i + piece], (out[i:i + piece], *work[1:]))
+
+
+def _in_place(rows, piece, arg, xs, work):
+    """``rows(arg, xs, work)``, which leaves its result in ``work[0]``, on the two halves of a large array at once.
+
+    The helper runs the first half and this thread the second, each
+    ``piece`` points at a time; the helper runs under the caller's numpy
+    error state, and its exception is raised here.  Where the halves would
+    be small this thread runs the whole array at once, and where the
+    process may not use two CPUs, or this thread is the helper, it runs the
+    whole array ``_PIECE`` points at a time.  Each point takes the same
+    steps either way, so the bits do not change.  Returns ``work[0]``.
+    """
+    if xs.size < 2 * _HALF_MIN:
         rows(arg, xs, work)
         return work[0]
     helper = _helper()
-    if helper is None or not helper.owner.acquire(blocking=False):
-        # alone, this thread runs the block in pieces whose live arrays stay
-        # in L2; whole 131072-point taylor_kernel halves ran 3% slower here
-        for i in range(0, xs.size, _PIECE):
-            rows(arg, xs[i:i + _PIECE], (work[0][i:i + _PIECE], *work[1:]))
+    if helper is None:
+        # alone, this thread keeps every piece's live arrays in L2;
+        # 131072-point taylor_kernel pieces ran 3% slower here
+        _pieces(rows, _PIECE, arg, xs, work)
         return work[0]
-    # the first row holds the block, each other row two pieces
+    # each scratch row holds a piece of each half (_row_points)
+    h = xs.size // 16 * 8
     first = (work[0][:h], *(w[:w.size // 2] for w in work[1:]))
     second = (work[0][h:], *(w[w.size // 2:] for w in work[1:]))
     import queue
 
     import numpy as np
 
+    # after an error or an interrupt here the helper may still run its
+    # half, on arrays that it holds and no one reads; a second caller's
+    # half waits behind it in the queue
     done = queue.SimpleQueue()
-    try:
-        helper.tasks.put([np.geterr(), np.geterrcall(), rows, arg, xs[:h], first, done])
-        rows(arg, xs[h:], second)
-        error = done.get()
-    finally:
-        # after an error or an interrupt here the helper may still run its
-        # half, on arrays that it holds and no one reads; it runs the next
-        # caller's half after that
-        helper.owner.release()
+    helper.tasks.put([np.geterr(), np.geterrcall(), _pieces, rows, piece, arg, xs[:h], first, done])
+    _pieces(rows, piece, arg, xs[h:], second)
+    error = done.get()
     if error is not None:
         raise error
     return work[0]
@@ -336,9 +356,9 @@ def evaluate(kernel, arg, x):
     """kernel(arg, points) at the points of x: a float for a scalar, else an ndarray.
 
     An array's result is a C-ordered float64 array of its shape.  ``kernel``
-    is called once per block, with four work buffers as its third argument:
-    the block's slice of the result, which the kernel fills, and three of
-    at most two ``_PIECE``s.  An array of fewer than ``_PLAIN`` points runs
+    is called once, on the whole array, with four work buffers as its third
+    argument: the result, which the kernel fills, and three scratch rows of
+    ``_row_points`` points.  An array of fewer than ``_PLAIN`` points runs
     on plain ``np.empty`` buffers; in a larger one, every buffer starts on
     a 64-byte boundary.  Callers pass it as ``_kernels.<name>`` looked up
     at call time, so a wrapper set on that module attribute (perfbench's
@@ -354,20 +374,17 @@ def evaluate(kernel, arg, x):
     flat = xs.reshape(-1)
     size = flat.size
     if size < _PLAIN:
-        # one block in this thread, on buffers whose addresses are not read
+        # at once in this thread, on buffers whose addresses are not read
         out = np.empty(size)
         kernel(arg, flat, (out, np.empty(size), np.empty(size), np.empty(size)))
         return out.reshape(xs.shape)
     out = _aligned(np, size)
-    # clenshaw_kernel's b1, b2 and step result, two pieces each, each row's
-    # bytes a multiple of the alignment; no closure here, whose cells a
-    # float would pay for.  Under 4 MiB, numpy asks for no huge pages,
+    # clenshaw_kernel's b1, b2 and step result; no closure here, whose cells
+    # a float would pay for.  Under 4 MiB, numpy asks for no huge pages,
     # which a first touch would make resident 2 MiB at a time.
-    part = -(-min(size, 2 * _PIECE) * 8 // _ALIGN) * _ALIGN // 8
+    part = _row_points(size)
     rows = _aligned(np, (_BUFFERS - 1) * part).reshape(_BUFFERS - 1, part)
-    for i in range(0, size, BLOCK):
-        block = flat[i:i + BLOCK]
-        kernel(arg, block, (out[i:i + BLOCK], *rows[:, :block.size]))
+    kernel(arg, flat, (out, *rows))
     return out.reshape(xs.shape)
 
 

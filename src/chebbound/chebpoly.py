@@ -88,7 +88,7 @@ def eval_T(n: int, x):
 def eval_U(n: int, x):
     """U_n(x) for n >= -1 (U_{-1} is identically 0); scalar or array."""
     n = _degree(n, -1, "U_n")
-    return _kernels.evaluate(_kernels.clenshaw_kernel, tuple(map(float, u_to_t_coeffs(n))), x)
+    return _kernels.evaluate(_kernels.clenshaw_kernel, u_to_t_coeffs(n, 1.0), x)
 
 
 def clenshaw_eval(s: ChebSeries, x):
@@ -128,16 +128,17 @@ def differentiate(s: ChebSeries) -> ChebSeries:
     return ChebSeries(differentiate_coeffs(list(s.values)))
 
 
-def u_to_t_coeffs(n: int) -> list[int]:
-    """Integer T-basis coefficients of U_n; n = -1 gives the zero series."""
-    if n == -1:
-        return [0]
-    c = [0] * (n + 1)
-    for j in range(n % 2, n + 1, 2):
-        c[j] = 2
-    if n % 2 == 0:
-        c[0] = 1
-    return c
+def u_to_t_coeffs(n: int, one=1) -> list:
+    """T-basis coefficients of U_n; n = -1 gives the zero series.
+
+    The coefficients are multiples of ``one``: integers by default, which
+    the certificate construction sums exactly, and floats for ``one=1.0``,
+    which ``eval_U`` evaluates.
+    """
+    zero, two = 0 * one, 2 * one
+    if n % 2:
+        return [zero, two] * ((n + 1) // 2) or [zero]
+    return [one] + [zero, two] * (n // 2)
 
 
 def u_to_t(n: int) -> ChebSeries:

@@ -83,10 +83,11 @@ chebbound.bessel._bessel_floors(151, chebbound.bessel._AT_ONE_BITS)
             "bessel.series_sum<"} <= calls
 
 
-def test_the_kernel_spans_record_one_call_per_block():
-    # arrays of two blocks and one point, and of 500 points: the evaluators
-    # must call the kernels through the _kernels namespace, once per block
-    for size, blocks in (("2 * chebbound._kernels.BLOCK + 1", 3), ("500", 1)):
+def test_the_kernel_spans_record_one_call_per_array():
+    # arrays of 2M points, run in two halves, and of 500 points: the
+    # evaluators must call the kernels through the _kernels namespace, once
+    # per array
+    for size in ("2 ** 21", "500"):
         calls = Counter(_traced_calls(f"""
 xs = np.linspace(-3.0, -1.0, {size})
 chebbound.clenshaw_eval(chebbound.partial_sum(8), xs)
@@ -96,8 +97,8 @@ chebbound.taylor_eval(8, xs)
 """))
         kernel_spans = {span: n for span, n in calls.items() if span.startswith("_kernels.")}
         assert kernel_spans == {
-            "_kernels.clenshaw_kernel<chebpoly.clenshaw_eval": blocks,
-            "_kernels.clenshaw_kernel<chebpoly.eval_T": blocks,
-            "_kernels.clenshaw_kernel<chebpoly.eval_U": blocks,
-            "_kernels.taylor_kernel<expseries.taylor_eval": blocks,
+            "_kernels.clenshaw_kernel<chebpoly.clenshaw_eval": 1,
+            "_kernels.clenshaw_kernel<chebpoly.eval_T": 1,
+            "_kernels.clenshaw_kernel<chebpoly.eval_U": 1,
+            "_kernels.taylor_kernel<expseries.taylor_eval": 1,
         }, (size, calls)

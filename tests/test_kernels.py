@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -91,6 +92,31 @@ def test_float_and_array_points_give_the_same_bits():
             _assert_same_bits(upper, _kernels.taylor_kernel(n + 1, xs))
 
 
+def _u_expansion(n):
+    """U_n's T-basis coefficients, set one at a time from U_n = 2 (T_n + T_{n-2} + ...) - [n even]."""
+    c = [0.0] * (n + 1 if n >= 0 else 1)
+    for j in range(n, -1, -2):
+        c[j] = 2.0
+    if n >= 0 and n % 2 == 0:
+        c[0] = 1.0
+    return c
+
+
+def test_eval_U_gives_the_bits_of_its_expansion():
+    xs = np.array(POINTS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(-1, 201):
+            coeffs = _u_expansion(n)
+            ints, floats = u_to_t_coeffs(n), u_to_t_coeffs(n, 1.0)
+            assert ints == coeffs and {type(c) for c in ints} == {int}
+            assert floats == coeffs and {type(c) for c in floats} == {float}
+            want = [_kernels.clenshaw_kernel(coeffs, x) for x in POINTS]
+            got = [eval_U(n, x) for x in POINTS]
+            assert all(type(v) is float for v in got)
+            _assert_same_bits(want, np.array(got))
+            _assert_same_bits(want, eval_U(n, xs))
+
+
 def _exact_terms(coeffs, x):
     """a_k T_k(x) for each k, in exact rationals, by the three-term T recurrence."""
     x = Fraction(x)
@@ -117,16 +143,18 @@ def test_clenshaw_tracks_the_exact_sum_of_the_exp_truncations():
             assert abs(Fraction(got) - exact) <= (n + 1) * eps * magnitude, (n, x)
 
 
-# --- blocked evaluation ------------------------------------------------------
-# Every array is evaluated in place, _kernels.BLOCK points at a time; each
-# evaluator must still give the bits of one operator-form kernel call on
-# the whole array.
-B = _kernels.BLOCK
+# --- in-place evaluation ----------------------------------------------------
+# Every array is evaluated in place, in halves and pieces; each evaluator
+# must still give the bits of one operator-form kernel call on the whole
+# array.  S is a size scale: an array of S points has four Clenshaw pieces
+# in each half.
+S = 262144
+P = _kernels._PIECE
 EDGE_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, -1.0, 5e-324]
 
 
 def _points(size):
-    """Seeded points on [-30, 3], with the edge values spread over all blocks."""
+    """Seeded points on [-30, 3], with the edge values spread over both halves."""
     xs = np.random.default_rng(size).uniform(-30.0, 3.0, size)
     at = np.linspace(0, size - 1, min(size, len(EDGE_VALUES))).astype(int)
     xs[at] = EDGE_VALUES[:at.size]
@@ -134,17 +162,17 @@ def _points(size):
 
 
 BLOCKED_INPUTS = {
-    **{f"size {n}": _points(n) for n in (0, 1, B - 1, B, B + 1, 3 * B + 17)},
-    "shape (2, B+3)": _points(2 * (B + 3)).reshape(2, B + 3),
-    "shape (B+5, 1)": _points(B + 5).reshape(B + 5, 1),
-    "strided": _points(3 * B + 17)[::3],
-    "Fortran-ordered": np.asfortranarray(_points(3 * (B + 1)).reshape(B + 1, 3)),
-    "int": np.arange(2 * B + 3) % 41 - 35,
-    "float32": _points(2 * B + 1).astype(np.float32),
+    **{f"size {n}": _points(n) for n in (0, 1, S - 1, S, S + 1, 3 * S + 17)},
+    "shape (2, S+3)": _points(2 * (S + 3)).reshape(2, S + 3),
+    "shape (S+5, 1)": _points(S + 5).reshape(S + 5, 1),
+    "strided": _points(3 * S + 17)[::3],
+    "Fortran-ordered": np.asfortranarray(_points(3 * (S + 1)).reshape(S + 1, 3)),
+    "int": np.arange(2 * S + 3) % 41 - 35,
+    "float32": _points(2 * S + 1).astype(np.float32),
 }
 
 
-def _blocked_evaluators():
+def _evaluators():
     """(evaluator, kernel, its argument) for each evaluator and degree."""
     for d in (0, 1, 2, 33, 64):
         s = partial_sum(d)
@@ -160,17 +188,21 @@ def test_blocked_evaluation_gives_the_bits_of_one_kernel_call(name):
     xs = BLOCKED_INPUTS[name]
     whole = np.asarray(xs, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for evaluate, kernel, arg in _blocked_evaluators():
+        for evaluate, kernel, arg in _evaluators():
             _assert_same_bits(kernel(arg, whole), evaluate(xs))
 
 
 def test_a_float_point_gives_the_bits_of_its_blocked_array_entry():
-    xs = BLOCKED_INPUTS[f"size {3 * B + 17}"]
-    # the edge values and the points either side of each block boundary
+    xs = BLOCKED_INPUTS[f"size {3 * S + 17}"]
+    # the edge values and the points either side of each boundary between
+    # the halves and between their pieces, where two CPUs run them and where
+    # one runs the whole array a piece at a time
+    h = xs.size // 16 * 8
+    cuts = {h, *range(P, xs.size, P), *range(h + P, xs.size, P)}
     at = sorted({*np.flatnonzero(np.isin(xs, EDGE_VALUES) | np.isnan(xs)).tolist(),
-                 *(i + j for i in range(B, xs.size, B) for j in (-1, 0))})
+                 *(i + j for i in cuts for j in (-1, 0))})
     with np.errstate(over="ignore", invalid="ignore"):
-        for evaluate, _, _ in _blocked_evaluators():
+        for evaluate, _, _ in _evaluators():
             arr = evaluate(xs)
             floats = [evaluate(x) for x in xs[at].tolist()]
             assert all(type(v) is float for v in floats)
@@ -188,21 +220,21 @@ def _at_offset(xs, offset):
     return copy
 
 
-@pytest.mark.parametrize("size", [B + 1, 3 * B + 17])
+@pytest.mark.parametrize("size", [S + 1, 3 * S + 17])
 def test_a_misaligned_input_gives_the_bits_of_an_aligned_copy(size):
     xs = _points(size)
     aligned, shifted = _at_offset(xs, 0), _at_offset(xs, 8)
     with np.errstate(over="ignore", invalid="ignore"):
-        for evaluate, _, _ in _blocked_evaluators():
+        for evaluate, _, _ in _evaluators():
             _assert_same_bits(evaluate(aligned).tolist(), evaluate(shifted))
 
 
 def test_a_result_never_shares_memory_with_the_next():
-    for size in (500, 2 * B + 1):
+    for size in (500, 2 * S + 1):
         first = _points(size)
         second = first[::-1].copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            for evaluate, _, _ in _blocked_evaluators():
+            for evaluate, _, _ in _evaluators():
                 a = evaluate(first)
                 kept = a.tolist()
                 b = evaluate(second)
@@ -210,39 +242,42 @@ def test_a_result_never_shares_memory_with_the_next():
                 assert not np.shares_memory(a, b)
 
 
-@pytest.mark.parametrize("size", [1, _kernels._PLAIN - 1, _kernels._PLAIN, B - 1, B])
-def test_an_array_of_one_block_or_less_runs_in_place(size, monkeypatch):
+@pytest.mark.parametrize("size", [1, _kernels._PLAIN - 1, _kernels._PLAIN, 2 * P - 1, S - 1, S, 3 * S + 17])
+def test_an_array_runs_in_place_in_one_kernel_call(size, monkeypatch):
     xs = _points(size)
     seen = []
 
     def recorder(kernel):
-        def record(arg, block, work=None):
-            seen.append((block.size, work))
-            return kernel(arg, block, work)
+        def record(arg, points, work=None):
+            seen.append((points.size, work))
+            return kernel(arg, points, work)
         return record
 
     for name in ("clenshaw_kernel", "taylor_kernel"):
         monkeypatch.setattr(_kernels, name, recorder(getattr(_kernels, name)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for evaluate, _, _ in _blocked_evaluators():
+        for evaluate, _, _ in _evaluators():
             seen.clear()
             result = evaluate(xs)
             # one call, on the whole array, with four buffers: the first the
-            # result itself, the others of at most two clenshaw_kernel pieces;
-            # on 64-byte boundaries from _kernels._PLAIN points on
+            # result itself, the others of a clenshaw_kernel piece of each
+            # half, or of the whole array where it runs at once; on 64-byte
+            # boundaries from _kernels._PLAIN points on
             [(points, work)] = seen
             assert points == size and work is not None and len(work) == 4
             assert np.shares_memory(result, work[0])
             aligned = size >= _kernels._PLAIN
-            for w, n in zip(work, [size] + [min(size, 2 * _kernels._PIECE)] * 3):
+            rows = _kernels._row_points(size) if aligned else size
+            assert rows >= min(size, 2 * P) and rows <= 2 * P
+            for w, n in zip(work, [size] + [rows] * 3):
                 assert w.dtype == np.float64 and w.size == n
                 assert w.ctypes.data % 64 == 0 or not aligned
 
 
 def test_two_threads_get_the_bits_of_sequential_calls():
-    # each thread evaluates a two-block array and a one-block array
-    inputs = [[_points(2 * B + 1), _points(500)], [-_points(2 * B + 1) - 1.0, -_points(500) - 1.0]]
-    evaluators = [evaluate for evaluate, _, _ in _blocked_evaluators()]
+    # each thread evaluates an array in two halves and one run at once
+    inputs = [[_points(2 * S + 1), _points(500)], [-_points(2 * S + 1) - 1.0, -_points(500) - 1.0]]
+    evaluators = [evaluate for evaluate, _, _ in _evaluators()]
     with np.errstate(over="ignore", invalid="ignore"):
         want = [[evaluate(xs).tolist() for xs in mine for evaluate in evaluators] for mine in inputs]
     got = [None, None]
@@ -270,34 +305,37 @@ def test_two_threads_get_the_bits_of_sequential_calls():
             _assert_same_bits(floats, arr)
 
 
-# --- the two halves of a large block ----------------------------------------
-# A block of at least 2 * _HALF_MIN points runs in two halves: the first in
-# the helper thread where the process may use two CPUs and the helper is
-# free, else both in the calling thread, one after the other.
+# --- the two halves of a large array ----------------------------------------
+# An array of at least 2 * _HALF_MIN points runs in two halves: the first in
+# the helper thread where the process may use two CPUs, else both in the
+# calling thread, one after the other.
 H = _kernels._HALF_MIN
 
 
 @pytest.fixture(params=("helper", "in turn"))
 def halves(request, monkeypatch):
-    """Where the halves of a large block run, whatever the host's CPUs."""
+    """Where the halves of a large array run, whatever the host's CPUs."""
     monkeypatch.setattr(_cpus, "_decision", request.param == "helper")
     return request.param
 
 
-@pytest.mark.parametrize("size", [2 * H - 1, 2 * H, 2 * H + 1, 2 * B + 1])
+# the halves split at a multiple of 8 points, so the second may hold up to
+# 15 more: its pieces must fit the scratch rows too
+@pytest.mark.parametrize("size", [2 * H - 1, 2 * H, 2 * H + 1, 2 * H + 7, 2 * H + 9, 2 * H + 15,
+                                  4 * P + 7, 2 * S + 1])
 def test_split_blocks_give_the_bits_of_one_kernel_call(halves, size):
     xs = _points(size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for evaluate, kernel, arg in _blocked_evaluators():
+        for evaluate, kernel, arg in _evaluators():
             _assert_same_bits(kernel(arg, xs), evaluate(xs))
-    # a block of 2H points or more starts the helper where two CPUs are usable
+    # an array of 2H points or more starts the helper where two CPUs are usable
     assert "helper" in _kernels._HELPER or halves == "in turn" or size < 2 * H
 
 
 def test_overflow_under_the_cli_errstate_warns_nothing(halves):
-    # far from -1 every evaluator overflows, in both halves of every block;
-    # the helper runs in the caller's numpy error state, as cli.main sets it
-    xs = -np.geomspace(1e300, 1e10, 2 * B)
+    # far from -1 every evaluator overflows, in both halves; the helper runs
+    # in the caller's numpy error state, as cli.main sets it
+    xs = -np.geomspace(1e300, 1e10, 2 * S)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -306,8 +344,8 @@ def test_overflow_under_the_cli_errstate_warns_nothing(halves):
 
 
 def test_an_error_in_the_first_half_reaches_the_caller(halves):
-    # only the first half of each block overflows: there, in the helper
-    xs = np.tile(np.repeat([-1e300, -2.0], B // 2), 2)
+    # only the first half overflows: there, in the helper
+    xs = np.repeat([-1e300, -2.0], S)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         taylor_eval(64, xs)
     # the helper serves the next call
@@ -315,25 +353,9 @@ def test_an_error_in_the_first_half_reaches_the_caller(halves):
         _assert_same_bits(_kernels.taylor_kernel(64, xs), taylor_eval(64, xs))
 
 
-def test_a_busy_helper_leaves_both_halves_to_the_caller(monkeypatch):
-    monkeypatch.setattr(_cpus, "_decision", True)
-    threads = _record_row_threads(monkeypatch)
-    helper = _kernels._helper()
-    xs = _points(2 * B + 1)
-    assert helper.owner.acquire(timeout=60)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = taylor_eval(33, xs)
-    finally:
-        helper.owner.release()
-    assert threads == {threading.current_thread().name}
-    with np.errstate(over="ignore", invalid="ignore"):
-        _assert_same_bits(_kernels.taylor_kernel(33, xs), got)
-
-
 def test_an_interrupted_wait_leaves_the_helper_serving(monkeypatch):
     monkeypatch.setattr(_cpus, "_decision", True)
-    xs, n = _points(2 * B), 33
+    xs, n = _points(2 * S), 33
     # the helper's first half waits until the caller's wait is interrupted
     interrupted, taylor_rows = threading.Event(), _kernels._taylor_rows
 
@@ -346,17 +368,17 @@ def test_an_interrupted_wait_leaves_the_helper_serving(monkeypatch):
         interrupted.set()
         raise KeyboardInterrupt
 
-    work = tuple(np.empty(B) for _ in range(4))
+    work = tuple(np.empty(S) for _ in range(4))
     old = signal.signal(signal.SIGALRM, interrupt)
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.2)
         with pytest.raises(KeyboardInterrupt), np.errstate(over="ignore", invalid="ignore"):
-            _kernels._in_place(rows, n, xs[:B], work)
+            _kernels._in_place(rows, 4 * P, n, xs[:S], work)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
     assert interrupted.is_set()
-    # the next large evaluation runs its first halves in the helper again
+    # the next large evaluation runs its first half in the helper again
     threads = _record_row_threads(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         got = taylor_eval(n, xs)
@@ -367,14 +389,74 @@ def test_an_interrupted_wait_leaves_the_helper_serving(monkeypatch):
 def test_an_error_callback_hears_the_first_half(halves):
     # numpy's "call" mode reaches the helper's half too
     heard = []
-    xs = np.repeat([-1e300, -2.0], B // 2)
+    xs = np.repeat([-1e300, -2.0], S // 2)
     with np.errstate(over="call", invalid="ignore", call=lambda kind, flag: heard.append(kind)):
         taylor_eval(64, xs)
     assert "overflow" in heard
 
 
+# a numpy error callback that the helper calls evaluates a large array: the
+# helper runs it alone, where a hand-off to itself would wait for ever.  In
+# a child process, so that a hung helper cannot hang the tests after this.
+REENTRY = """
+import threading
+import numpy as np
+from chebbound import _cpus, _kernels, taylor_eval
+_cpus._decision = True
+inner = np.linspace(-3.0, 3.0, 300_000)
+heard = []
+
+def call(kind, flag):
+    if not heard:
+        heard.append((threading.current_thread().name, taylor_eval(8, inner)))
+
+# only the first half overflows, so only the helper calls back
+with np.errstate(over="call", invalid="ignore", call=call):
+    taylor_eval(64, np.repeat([-1e300, -2.0], 131072))
+[(name, got)] = heard
+assert name.startswith("chebbound-kernels"), name
+assert got.view(np.uint64).tolist() == _kernels.taylor_kernel(8, inner).view(np.uint64).tolist()
+print("ok")
+"""
+
+
+def test_an_error_callback_in_the_helper_evaluates_a_large_array():
+    proc = subprocess.run([sys.executable, "-c", REENTRY], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_an_array_makes_one_hand_off(monkeypatch):
+    monkeypatch.setattr(_cpus, "_decision", True)
+    helper = _kernels._helper()
+    handed = []
+
+    class Counted:
+        """The helper's queue, recording the step loop of each task put on it."""
+
+        def __init__(self, tasks):
+            self.tasks = tasks
+
+        def put(self, job):
+            handed.append(job[3])
+            self.tasks.put(job)
+
+        def get(self):
+            return self.tasks.get()
+
+    monkeypatch.setattr(helper, "tasks", Counted(helper.tasks))
+    xs = _points(2 ** 21)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for evaluate, rows in ((lambda x: clenshaw_eval(partial_sum(36), x), "_clenshaw_rows"),
+                               (lambda x: eval_T(36, x), "_clenshaw_rows"),
+                               (lambda x: eval_U(36, x), "_clenshaw_rows"),
+                               (lambda x: taylor_eval(36, x), "_taylor_rows")):
+            handed.clear()
+            evaluate(xs)
+            assert handed == [getattr(_kernels, rows)]
+
+
 def test_the_buffers_go_with_their_call(halves, monkeypatch):
-    # the helper lets go of a block's arrays before the caller wakes, so no
+    # the helper lets go of an array's buffers before the caller wakes, so no
     # buffer outlives its call of evaluate to lie beside the next call's
     buffers, rows = [], _kernels._taylor_rows
 
@@ -384,7 +466,7 @@ def test_the_buffers_go_with_their_call(halves, monkeypatch):
 
     monkeypatch.setattr(_kernels, "_taylor_rows", record)
     with np.errstate(over="ignore", invalid="ignore"):
-        taylor_eval(33, _points(2 * B))
+        taylor_eval(33, _points(2 * S))
     assert buffers and all(ref() is None for ref in buffers)
 
 
@@ -403,7 +485,7 @@ def test_every_kernel_call_stays_in_the_calling_thread(monkeypatch):
     for name in ("evaluate", "clenshaw_kernel", "taylor_kernel", "taylor_bracket",
                  "_clenshaw_rows", "_taylor_rows"):
         monkeypatch.setattr(_kernels, name, recorder(name, getattr(_kernels, name)))
-    xs = _points(2 * B + 1)
+    xs = _points(2 * S + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         clenshaw_eval(partial_sum(8), xs)
         taylor_eval(8, xs)
@@ -429,7 +511,7 @@ def _record_row_threads(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_a_forked_child_starts_its_own_helper(monkeypatch):
     monkeypatch.setattr(_cpus, "_decision", True)
-    xs, s = _points(2 * B), partial_sum(40)
+    xs, s = _points(2 * S), partial_sum(40)
     with np.errstate(over="ignore", invalid="ignore"):
         want = clenshaw_eval(s, xs)
     assert "helper" in _kernels._HELPER
@@ -480,10 +562,10 @@ ZERO_POINTS += (np.random.default_rng(29).choice((-1.0, 1.0), 53)
                 * 10.0 ** np.random.default_rng(30).uniform(-320.0, 10.0, 53)).tolist()
 
 
-@pytest.mark.parametrize("size", [1, 2 * H, B + 1])
+@pytest.mark.parametrize("size", [1, 2 * H, S + 1])
 def test_skipped_zero_adds_keep_every_bit(halves, size):
     assert "[-0.0, 0.0]" in map(repr, ZERO_SERIES)
-    # each point lies in both halves of a split block and in both blocks
+    # each point lies in both halves of a split array and in several pieces
     at = np.arange(size) % len(ZERO_POINTS)
     xs = np.array(ZERO_POINTS)[at]
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
