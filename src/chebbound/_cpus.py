@@ -1,4 +1,8 @@
-"""Whether this process may run on two CPUs at once: the one rule for the CLI's fork and the kernels' helper.
+"""Whether this process may run on two CPUs at once: the one rule for the CLI's fork and the kernels' split.
+
+Where it holds, a table of more than one block forks one formatter child,
+and each kernel call on a large array starts one thread for the array's
+first half, joined before the call returns.
 
 Two CPUs are usable where the affinity mask (``os.sched_getaffinity``,
 Linux only; elsewhere one CPU) and the cgroup CPU quota both allow two.

@@ -51,27 +51,32 @@ of 4096..131072 points on 2M points (CHANGES.md gives the figures).
 element on its own, whatever the slice or the SIMD path, and each applies
 the same operations in the same order to each point.
 
-A daemon helper thread runs the first half while the calling thread runs
-the second, and numpy's ufuncs release the GIL inside their loops, so the
-two run on two CPUs at once.  Each array makes one hand-off to the helper,
-whose queue runs the first halves of concurrent callers one after another.
-A thread that waits for the GIL on a 2-vCPU KVM guest woke too late to
-catch the other thread's next ufunc of 32768 points (about 10 us), while
-ufuncs of 131072 points overlapped from the first call, one more reason
-for Taylor's larger pieces.  The split sits inside the kernel call: the helper runs only
-the private step loops (``_clenshaw_rows``, ``_taylor_rows``), so every
-call of a module-level kernel, and every span that perfbench's tracer (one
-span stack for all threads) records for it, stays in the calling thread,
-and the span's wall time covers both halves.  The helper runs its half
-under the caller's numpy error state, which numpy 1 keeps per thread and
-numpy 2 per context, and the caller raises the helper's exception.  The
-calling thread runs an array at once where its halves would hold fewer
-than ``_HALF_MIN`` points (the CLI's 8192-row chunks, small grids).  It
-runs a larger one alone, ``_PIECE`` points at a time for both kernels,
-where the process may not use two CPUs (``_cpus.two_cpus``) and in the
-helper itself, where a numpy error callback may evaluate an array: a
-hand-off there would wait for ever on its own queue.  A forked child
-starts its own helper.
+For each such array the kernel starts one daemon thread, which runs the
+first half while the calling thread runs the second, and joins it before
+it returns or raises; numpy's ufuncs release the GIL inside their loops,
+so the two run on two CPUs at once.  Starting and joining a thread took
+38-85 us on a 2-vCPU KVM guest (medians of 2000, in 12 processes):
+nothing beside the 30-55 ms of a 2M-point evaluation at degree 36.  At
+65536 points and degree 20 the split ran Clenshaw in 0.96 ms and Taylor
+in 1.13 ms, against 0.81 and 0.98 ms with a thread kept between calls and
+1.20 and 1.66 ms alone (medians of 6 processes).  No thread outlives its
+call, so a forked child and concurrent callers need nothing more.  A
+thread that waits for the GIL on that guest woke too late to catch the
+other thread's next ufunc of 32768 points (about 10 us), while ufuncs of
+131072 points overlapped from the first call, one more reason for
+Taylor's larger pieces.  The split sits inside the kernel call: the started thread runs
+only the private step loops (``_clenshaw_rows``, ``_taylor_rows``), so
+every call of a module-level kernel, and every span that perfbench's
+tracer (one span stack for all threads) records for it, stays in the
+calling thread, and the span's wall time covers both halves.  The started
+thread runs its half under the caller's numpy error state, which numpy 1
+keeps per thread and numpy 2 per context, and the caller raises its
+exception; a numpy error callback there that evaluates a large array
+starts a thread of its own.  The calling thread runs an array at once
+where its halves would hold fewer than ``_HALF_MIN`` points (the CLI's
+8192-row chunks, small grids).  It runs a larger one alone, ``_PIECE``
+points at a time for both kernels, where the process may not use two CPUs
+(``_cpus.two_cpus``) or no thread can be started.
 
 ``evaluate`` hands the kernel the result as the first work buffer, so the
 kernel writes every point where it stays, with no copy.  From ``_PLAIN`` =
@@ -115,7 +120,6 @@ the one-pass loops.
 from __future__ import annotations
 
 import math
-import os
 
 # points per piece of clenshaw_kernel: its live arrays stay in L2
 _PIECE = 32768
@@ -128,12 +132,6 @@ _PLAIN = 2048
 # holds 2x in, and clenshaw_kernel's b1, b2 and step result, a piece of each
 _BUFFERS = 4
 _ALIGN = 64
-
-# this process's helper thread, under "helper", once a split array starts it
-_HELPER = {}
-# a forked child has no helper thread, whatever the parent's state
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_HELPER.clear)
 
 
 def clenshaw_kernel(coeffs, xs, work=None):
@@ -215,71 +213,6 @@ def _taylor_rows(n, xs, work):
         add(1.0, v, v)
 
 
-class _Helper:
-    """A daemon thread that runs the first half of an array while the calling thread runs the second.
-
-    A caller puts [err, call, function, *args, done] on ``tasks``; the
-    thread runs ``function(*args)`` under numpy's error state ``err`` and
-    error callback ``call``, and puts None, or the exception it raised, on
-    ``done``.  Tasks run one at a time, in the order put.  Each call has its
-    own ``done``, so a call that an interrupt takes from its wait leaves no
-    result for the next.
-    """
-
-    def __init__(self):
-        import queue
-        import threading
-
-        self.tasks = queue.SimpleQueue()
-        self.thread = threading.Thread(target=self._serve, name="chebbound-kernels", daemon=True)
-
-    def _serve(self):
-        while True:
-            job = self.tasks.get()
-            done = job.pop()
-            done.put(self._run(job))
-
-    @staticmethod
-    def _run(job):
-        # numpy 1 keeps its error state per thread and numpy 2 per context,
-        # so the caller's is set here.  job is emptied, and after a success
-        # this frame is gone, before the caller wakes: an array's buffer that
-        # outlived its call of evaluate would lie beside the next call's
-        import numpy as np
-
-        err, call, function, *args = job
-        job.clear()
-        try:
-            with np.errstate(call=call, **err):
-                function(*args)
-        except BaseException as exc:
-            return exc
-        return None
-
-
-def _helper():
-    """This process's helper, started on first use.
-
-    None where the process may not run on two CPUs, and in the helper
-    itself: a numpy error callback that evaluates an array there would
-    otherwise wait on its own queue for ever.
-    """
-    import threading
-
-    from . import _cpus
-
-    if not _cpus.two_cpus():
-        return None
-    helper = _HELPER.get("helper")
-    if helper is None:
-        # where two threads get here at once, setdefault keeps one helper
-        mine = _Helper()
-        helper = _HELPER.setdefault("helper", mine)
-        if helper is mine:
-            mine.thread.start()
-    return None if helper.thread is threading.current_thread() else helper
-
-
 def _row_points(size):
     """Points per scratch row for an array of ``size`` points.
 
@@ -298,43 +231,67 @@ def _pieces(rows, piece, arg, xs, work):
         rows(arg, xs[i:i + piece], (out[i:i + piece], *work[1:]))
 
 
+def _first_half(err, call, errors, *args):
+    """``_pieces(*args)`` under numpy's error state ``err`` and callback ``call``; its exception goes on ``errors``."""
+    # numpy 1 keeps its error state per thread and numpy 2 per context, and
+    # a new thread starts with the defaults of either
+    import numpy as np
+
+    try:
+        with np.errstate(call=call, **err):
+            _pieces(*args)
+    except BaseException as exc:
+        errors.append(exc)
+
+
 def _in_place(rows, piece, arg, xs, work):
     """``rows(arg, xs, work)``, which leaves its result in ``work[0]``, on the two halves of a large array at once.
 
-    The helper runs the first half and this thread the second, each
-    ``piece`` points at a time; the helper runs under the caller's numpy
-    error state, and its exception is raised here.  Where the halves would
-    be small this thread runs the whole array at once, and where the
-    process may not use two CPUs, or this thread is the helper, it runs the
-    whole array ``_PIECE`` points at a time.  Each point takes the same
-    steps either way, so the bits do not change.  Returns ``work[0]``.
+    A thread started for this call runs the first half and this thread the
+    second, each ``piece`` points at a time; the started thread runs under
+    the caller's numpy error state, and is joined before this returns or
+    raises, its exception raised here.  Where the halves would be small
+    this thread runs the whole array at once, and where the process may not
+    use two CPUs, or no thread can be started, it runs the whole array
+    ``_PIECE`` points at a time.  Each point takes the same steps either
+    way, so the bits do not change.  Returns ``work[0]``.
     """
     if xs.size < 2 * _HALF_MIN:
         rows(arg, xs, work)
         return work[0]
-    helper = _helper()
-    if helper is None:
-        # alone, this thread keeps every piece's live arrays in L2;
-        # 131072-point taylor_kernel pieces ran 3% slower here
-        _pieces(rows, _PIECE, arg, xs, work)
-        return work[0]
-    # each scratch row holds a piece of each half (_row_points)
-    h = xs.size // 16 * 8
-    first = (work[0][:h], *(w[:w.size // 2] for w in work[1:]))
-    second = (work[0][h:], *(w[w.size // 2:] for w in work[1:]))
-    import queue
+    from . import _cpus
 
-    import numpy as np
+    if _cpus.two_cpus():
+        import threading
 
-    # after an error or an interrupt here the helper may still run its
-    # half, on arrays that it holds and no one reads; a second caller's
-    # half waits behind it in the queue
-    done = queue.SimpleQueue()
-    helper.tasks.put([np.geterr(), np.geterrcall(), _pieces, rows, piece, arg, xs[:h], first, done])
-    _pieces(rows, piece, arg, xs[h:], second)
-    error = done.get()
-    if error is not None:
-        raise error
+        import numpy as np
+
+        # each scratch row holds a piece of each half (_row_points)
+        h = xs.size // 16 * 8
+        first = (work[0][:h], *(w[:w.size // 2] for w in work[1:]))
+        second = (work[0][h:], *(w[w.size // 2:] for w in work[1:]))
+        errors = []
+        thread = threading.Thread(target=_first_half, name="chebbound-kernels", daemon=True,
+                                  args=(np.geterr(), np.geterrcall(), errors, rows, piece, arg, xs[:h], first))
+        try:
+            thread.start()
+        except RuntimeError:
+            # no thread to be had (a process limit, interpreter shutdown):
+            # this thread runs the array alone, below
+            pass
+        else:
+            # an interrupt of the join leaves the thread to finish its half
+            # on arrays that no one reads
+            try:
+                _pieces(rows, piece, arg, xs[h:], second)
+            finally:
+                thread.join()
+            if errors:
+                raise errors[0]
+            return work[0]
+    # alone, this thread keeps every piece's live arrays in L2;
+    # 131072-point taylor_kernel pieces ran 3% slower here
+    _pieces(rows, _PIECE, arg, xs, work)
     return work[0]
 
 

@@ -28,7 +28,8 @@ def _no_child_is_left():
 
 def _workers(monkeypatch, count, quota=None):
     """Let the process see ``count`` CPUs that it may run on, under a cgroup quota of ``quota`` CPUs
-    (None: no quota): where both allow two, the emitter forks one child and the kernels use their helper."""
+    (None: no quota): where both allow two, the emitter forks one child and each kernel call on a large
+    array starts one thread for its first half."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
     monkeypatch.setattr(_cpus, "_cpu_quota", lambda: quota)
     # the process's decision is made again from the mask and quota above

@@ -1,4 +1,4 @@
-"""The CPU rule that the CLI's fork and the kernels' helper share: affinity mask and cgroup quotas."""
+"""The CPU rule that the CLI's fork and the kernels' split share: affinity mask and cgroup quotas."""
 
 import os
 

@@ -307,8 +307,8 @@ def test_two_threads_get_the_bits_of_sequential_calls():
 
 # --- the two halves of a large array ----------------------------------------
 # An array of at least 2 * _HALF_MIN points runs in two halves: the first in
-# the helper thread where the process may use two CPUs, else both in the
-# calling thread, one after the other.
+# a thread started for the call where the process may use two CPUs, else
+# both in the calling thread, one after the other.
 H = _kernels._HALF_MIN
 
 
@@ -323,18 +323,21 @@ def halves(request, monkeypatch):
 # 15 more: its pieces must fit the scratch rows too
 @pytest.mark.parametrize("size", [2 * H - 1, 2 * H, 2 * H + 1, 2 * H + 7, 2 * H + 9, 2 * H + 15,
                                   4 * P + 7, 2 * S + 1])
-def test_split_blocks_give_the_bits_of_one_kernel_call(halves, size):
+def test_split_blocks_give_the_bits_of_one_kernel_call(halves, size, monkeypatch):
     xs = _points(size)
+    threads = _record_row_threads(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         for evaluate, kernel, arg in _evaluators():
             _assert_same_bits(kernel(arg, xs), evaluate(xs))
-    # an array of 2H points or more starts the helper where two CPUs are usable
-    assert "helper" in _kernels._HELPER or halves == "in turn" or size < 2 * H
+    # an array of 2H points or more starts a thread where two CPUs are usable
+    here = threading.current_thread().name
+    split = halves == "helper" and size >= 2 * H
+    assert threads == ({here, "chebbound-kernels"} if split else {here})
 
 
 def test_overflow_under_the_cli_errstate_warns_nothing(halves):
-    # far from -1 every evaluator overflows, in both halves; the helper runs
-    # in the caller's numpy error state, as cli.main sets it
+    # far from -1 every evaluator overflows, in both halves; the started
+    # thread runs in the caller's numpy error state, as cli.main sets it
     xs = -np.geomspace(1e300, 1e10, 2 * S)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -344,19 +347,20 @@ def test_overflow_under_the_cli_errstate_warns_nothing(halves):
 
 
 def test_an_error_in_the_first_half_reaches_the_caller(halves):
-    # only the first half overflows: there, in the helper
+    # only the first half overflows: there, in the started thread
     xs = np.repeat([-1e300, -2.0], S)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         taylor_eval(64, xs)
-    # the helper serves the next call
+    # the next call splits again
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_same_bits(_kernels.taylor_kernel(64, xs), taylor_eval(64, xs))
 
 
-def test_an_interrupted_wait_leaves_the_helper_serving(monkeypatch):
+def test_an_interrupted_join_leaves_later_arrays_split(monkeypatch):
     monkeypatch.setattr(_cpus, "_decision", True)
     xs, n = _points(2 * S), 33
-    # the helper's first half waits until the caller's wait is interrupted
+    # the started thread's first half waits until the caller's join is
+    # interrupted
     interrupted, taylor_rows = threading.Event(), _kernels._taylor_rows
 
     def rows(arg, points, work):
@@ -378,7 +382,7 @@ def test_an_interrupted_wait_leaves_the_helper_serving(monkeypatch):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
     assert interrupted.is_set()
-    # the next large evaluation runs its first half in the helper again
+    # the next large evaluation runs its first half in a thread of its own
     threads = _record_row_threads(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         got = taylor_eval(n, xs)
@@ -387,7 +391,7 @@ def test_an_interrupted_wait_leaves_the_helper_serving(monkeypatch):
 
 
 def test_an_error_callback_hears_the_first_half(halves):
-    # numpy's "call" mode reaches the helper's half too
+    # numpy's "call" mode reaches the started thread's half too
     heard = []
     xs = np.repeat([-1e300, -2.0], S // 2)
     with np.errstate(over="call", invalid="ignore", call=lambda kind, flag: heard.append(kind)):
@@ -395,9 +399,9 @@ def test_an_error_callback_hears_the_first_half(halves):
     assert "overflow" in heard
 
 
-# a numpy error callback that the helper calls evaluates a large array: the
-# helper runs it alone, where a hand-off to itself would wait for ever.  In
-# a child process, so that a hung helper cannot hang the tests after this.
+# a numpy error callback that the started thread calls evaluates a large
+# array, which starts a thread of its own.  In a child process, so that a
+# hang cannot hang the tests after this.
 REENTRY = """
 import threading
 import numpy as np
@@ -410,7 +414,7 @@ def call(kind, flag):
     if not heard:
         heard.append((threading.current_thread().name, taylor_eval(8, inner)))
 
-# only the first half overflows, so only the helper calls back
+# only the first half overflows, so only the started thread calls back
 with np.errstate(over="call", invalid="ignore", call=call):
     taylor_eval(64, np.repeat([-1e300, -2.0], 131072))
 [(name, got)] = heard
@@ -425,25 +429,66 @@ def test_an_error_callback_in_the_helper_evaluates_a_large_array():
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
+# an array whose thread cannot start runs in the calling thread alone, and
+# each later array tries again.  In a child process, so that a hang cannot
+# hang the tests after this.
+START_FAILS = """
+import threading
+import numpy as np
+from chebbound import _cpus, _kernels, taylor_eval
+_cpus._decision = True
+xs = np.linspace(-30.0, 3.0, 262144)
+want = _kernels.taylor_kernel(33, xs).view(np.uint64).tolist()
+start = threading.Thread.start
+
+def fail(self):
+    raise RuntimeError("can't start new thread")
+
+threading.Thread.start = fail
+got = [taylor_eval(33, xs), taylor_eval(33, xs)]
+threading.Thread.start = start
+# with threads to be had again, the next array splits
+names, rows = set(), _kernels._taylor_rows
+
+def record(*args):
+    names.add(threading.current_thread().name)
+    rows(*args)
+
+_kernels._taylor_rows = record
+got.append(taylor_eval(33, xs))
+assert names == {threading.current_thread().name, "chebbound-kernels"}, names
+assert all(g.view(np.uint64).tolist() == want for g in got)
+print("ok")
+"""
+
+
+def test_a_thread_that_fails_to_start_leaves_the_array_to_the_caller():
+    proc = subprocess.run([sys.executable, "-c", START_FAILS], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_no_kernel_thread_outlives_its_call(monkeypatch):
+    monkeypatch.setattr(_cpus, "_decision", True)
+    xs = _points(2 * S + 1)
+    threads = _record_row_threads(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for evaluate in (lambda: clenshaw_eval(partial_sum(8), xs), lambda: taylor_eval(8, xs)):
+            evaluate()
+            assert not [t for t in threading.enumerate() if t.name.startswith("chebbound-kernels")]
+    # taylor_eval did split its array
+    assert "chebbound-kernels" in threads
+
+
 def test_an_array_makes_one_hand_off(monkeypatch):
     monkeypatch.setattr(_cpus, "_decision", True)
-    helper = _kernels._helper()
-    handed = []
+    handed, first_half = [], _kernels._first_half
 
-    class Counted:
-        """The helper's queue, recording the step loop of each task put on it."""
+    def record(err, call, errors, rows, *args):
+        # the step loop of each started thread
+        handed.append(rows)
+        first_half(err, call, errors, rows, *args)
 
-        def __init__(self, tasks):
-            self.tasks = tasks
-
-        def put(self, job):
-            handed.append(job[3])
-            self.tasks.put(job)
-
-        def get(self):
-            return self.tasks.get()
-
-    monkeypatch.setattr(helper, "tasks", Counted(helper.tasks))
+    monkeypatch.setattr(_kernels, "_first_half", record)
     xs = _points(2 ** 21)
     with np.errstate(over="ignore", invalid="ignore"):
         for evaluate, rows in ((lambda x: clenshaw_eval(partial_sum(36), x), "_clenshaw_rows"),
@@ -456,8 +501,9 @@ def test_an_array_makes_one_hand_off(monkeypatch):
 
 
 def test_the_buffers_go_with_their_call(halves, monkeypatch):
-    # the helper lets go of an array's buffers before the caller wakes, so no
-    # buffer outlives its call of evaluate to lie beside the next call's
+    # the started thread ends, and lets go of an array's buffers, before its
+    # call returns, so no buffer outlives its call of evaluate to lie beside
+    # the next call's
     buffers, rows = [], _kernels._taylor_rows
 
     def record(n, xs, work):
@@ -472,7 +518,7 @@ def test_the_buffers_go_with_their_call(halves, monkeypatch):
 
 def test_every_kernel_call_stays_in_the_calling_thread(monkeypatch):
     # the benchmark's tracer wraps the module's kernels with one span stack;
-    # the helper runs only the private step loops
+    # the started thread runs only the private step loops
     monkeypatch.setattr(_cpus, "_decision", True)
     seen = {}
 
@@ -514,16 +560,15 @@ def test_a_forked_child_starts_its_own_helper(monkeypatch):
     xs, s = _points(2 * S), partial_sum(40)
     with np.errstate(over="ignore", invalid="ignore"):
         want = clenshaw_eval(s, xs)
-    assert "helper" in _kernels._HELPER
     with warnings.catch_warnings():
-        # the helper and numpy's BLAS threads make this process multi-threaded
+        # numpy's BLAS threads make this process multi-threaded
         warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
         pid = os.fork()
     if not pid:
         code = 1
         try:
-            # the parent's helper and CPU decision are gone
-            fresh = not _kernels._HELPER and _cpus._decision is None
+            # the parent's CPU decision is gone
+            fresh = _cpus._decision is None
             with np.errstate(over="ignore", invalid="ignore"):
                 got = clenshaw_eval(s, xs)
             code = 0 if fresh and np.array_equal(got.view(np.uint64), want.view(np.uint64)) else 3
