@@ -58,9 +58,9 @@ so the two run on two CPUs at once.  Starting and joining a thread took
 38-85 us on a 2-vCPU KVM guest (medians of 2000, in 12 processes):
 nothing beside the 30-55 ms of a 2M-point evaluation at degree 36.  At
 65536 points and degree 20 the split ran Clenshaw in 0.96 ms and Taylor
-in 1.13 ms, against 0.81 and 0.98 ms with a thread kept between calls and
-1.20 and 1.66 ms alone (medians of 6 processes).  No thread outlives its
-call, so a forked child and concurrent callers need nothing more.  A
+in 1.13 ms, against 1.20 and 1.66 ms alone (medians of 6 processes).
+No thread outlives its call, so a forked child and concurrent callers
+need nothing more.  A
 thread that waits for the GIL on that guest woke too late to catch the
 other thread's next ufunc of 32768 points (about 10 us), while ufuncs of
 131072 points overlapped from the first call, one more reason for

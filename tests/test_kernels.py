@@ -8,13 +8,22 @@ import threading
 import time
 import warnings
 import weakref
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from chebbound import ChebSeries, _cpus, _kernels, clenshaw_eval, eval_T, eval_U, exp_cheb_coefficients, partial_sum, taylor_eval
 from chebbound.chebpoly import u_to_t_coeffs
+
+
+def _assert_same_bits(want, got):
+    """``got`` holds the float64 bits of ``want``, an array or a list of floats; any NaN for a NaN."""
+    want = np.asarray(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(nan, np.isnan(got))
+    # as integers, so -0.0 and +0.0 differ
+    assert (nan | (want.view(np.uint64) == got.view(np.uint64))).all()
 
 
 def test_numpy_path_values():
@@ -47,9 +56,9 @@ def test_kernels_match_scalar_loops_bit_for_bit():
             v = 1.0 + v * x / k
         return v
 
-    assert _kernels.clenshaw_kernel(coeffs, xs).tolist() == [clenshaw(x) for x in xs.tolist()]
+    _assert_same_bits([clenshaw(x) for x in xs.tolist()], _kernels.clenshaw_kernel(coeffs, xs))
     for n in (0, 1, 7, 32):
-        assert _kernels.taylor_kernel(n, xs).tolist() == [taylor(n, x) for x in xs.tolist()]
+        _assert_same_bits([taylor(n, x) for x in xs.tolist()], _kernels.taylor_kernel(n, xs))
 
 
 # the coefficient vectors the package evaluates: exp truncations, the unit
@@ -61,15 +70,6 @@ LOG_POINTS = (-np.geomspace(1e4, 1e-3, 120)).tolist()
 LINEAR_POINTS = np.linspace(-1.0, 1.0, 61).tolist()
 EDGE_POINTS = [-1.0 - 2.0**-52, -1.0001, 0.0, -0.0, 5e-324, -5e-324]
 POINTS = LOG_POINTS + LINEAR_POINTS + EDGE_POINTS + [math.inf, -math.inf, math.nan]
-
-
-def _assert_same_bits(floats, arr):
-    got = np.array(floats)
-    assert arr.dtype == np.float64 and got.shape == arr.shape
-    assert np.isnan(got).tolist() == np.isnan(arr).tolist()
-    finite = ~np.isnan(arr)
-    # as integers, so -0.0 and +0.0 differ
-    assert got[finite].view(np.uint64).tolist() == arr[finite].view(np.uint64).tolist()
 
 
 def test_float_and_array_points_give_the_same_bits():
@@ -110,7 +110,7 @@ def test_eval_U_gives_the_bits_of_its_expansion():
             ints, floats = u_to_t_coeffs(n), u_to_t_coeffs(n, 1.0)
             assert ints == coeffs and {type(c) for c in ints} == {int}
             assert floats == coeffs and {type(c) for c in floats} == {float}
-            want = [_kernels.clenshaw_kernel(coeffs, x) for x in POINTS]
+            want = _kernels.clenshaw_kernel(coeffs, xs)
             got = [eval_U(n, x) for x in POINTS]
             assert all(type(v) is float for v in got)
             _assert_same_bits(want, np.array(got))
@@ -118,58 +118,57 @@ def test_eval_U_gives_the_bits_of_its_expansion():
 
 
 def _exact_terms(coeffs, x):
-    """a_k T_k(x) for each k, in exact rationals, by the three-term T recurrence."""
-    x = Fraction(x)
-    t_prev, t, terms = Fraction(1), x, [Fraction(coeffs[0])]
-    for a in coeffs[1:]:
-        terms.append(Fraction(a) * t)
-        t_prev, t = t, 2 * x * t - t_prev
-    return terms
+    """a_k T_k(x) for each k, exactly, by the three-term T recurrence: integers over 2**e, and e."""
+    # x = p / 2**q, so T_k(x) = t_k / 2**(q k) with t_{k+1} = 2 p t_k - 4**q t_{k-1}
+    p, d = x.as_integer_ratio()
+    q = d.bit_length() - 1
+    ratios = [(a, s.bit_length() - 1) for a, s in map(float.as_integer_ratio, coeffs)]
+    e = q * (len(coeffs) - 1) + max(s for _, s in ratios)
+    terms, t_prev, t = [], 1, 1
+    for k, (a, s) in enumerate(ratios):
+        terms.append(a * t << e - s - q * k)
+        t_prev, t = t, (2 * p * t - (t_prev << 2 * q) if k else p)
+    return terms, e
 
 
 def test_clenshaw_tracks_the_exact_sum_of_the_exp_truncations():
     # positive, fast-decaying coefficients: on [-1e4, 1] the rounding error
     # stays within (n+1) eps sum |a_k T_k(x)|.  Truncation n is the first
     # n+1 coefficients of the longest, so its sums are prefix sums.
-    eps = Fraction(2) ** -52
-    # every third grid point: the exact sums dominate the run time
-    for x in LOG_POINTS[::3] + LINEAR_POINTS[::3] + EDGE_POINTS:
-        exact = magnitude = Fraction(0)
-        for n, term in enumerate(_exact_terms(EXP_VECTORS[-1], x)):
+    for x in LOG_POINTS + LINEAR_POINTS + EDGE_POINTS:
+        terms, e = _exact_terms(EXP_VECTORS[-1], x)
+        exact = magnitude = 0
+        for n, term in enumerate(terms):
             exact += term
             magnitude += abs(term)
             assert EXP_VECTORS[n] == EXP_VECTORS[-1][:n + 1]
-            got = _kernels.clenshaw_kernel(EXP_VECTORS[n], x)
-            assert abs(Fraction(got) - exact) <= (n + 1) * eps * magnitude, (n, x)
+            got, g = _kernels.clenshaw_kernel(EXP_VECTORS[n], x).as_integer_ratio()
+            # |got / g - exact / 2**e| <= (n+1) 2**-52 magnitude / 2**e, times 2**(e+52) g
+            assert abs((got << e) - exact * g) << 52 <= (n + 1) * magnitude * g, (n, x)
 
 
 # --- in-place evaluation ----------------------------------------------------
 # Every array is evaluated in place, in halves and pieces; each evaluator
 # must still give the bits of one operator-form kernel call on the whole
 # array.  S is a size scale: an array of S points has four Clenshaw pieces
-# in each half.
+# in each half.  An array of at least 2 * _HALF_MIN points runs in two
+# halves: the first in a thread started for the call where the process may
+# use two CPUs, else both in the calling thread, one after the other.
 S = 262144
 P = _kernels._PIECE
+H = _kernels._HALF_MIN
 EDGE_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, -1.0, 5e-324]
 
-
-def _points(size):
-    """Seeded points on [-30, 3], with the edge values spread over both halves."""
-    xs = np.random.default_rng(size).uniform(-30.0, 3.0, size)
-    at = np.linspace(0, size - 1, min(size, len(EDGE_VALUES))).astype(int)
-    xs[at] = EDGE_VALUES[:at.size]
-    return xs
-
-
-BLOCKED_INPUTS = {
-    **{f"size {n}": _points(n) for n in (0, 1, S - 1, S, S + 1, 3 * S + 17)},
-    "shape (2, S+3)": _points(2 * (S + 3)).reshape(2, S + 3),
-    "shape (S+5, 1)": _points(S + 5).reshape(S + 5, 1),
-    "strided": _points(3 * S + 17)[::3],
-    "Fortran-ordered": np.asfortranarray(_points(3 * (S + 1)).reshape(S + 1, 3)),
-    "int": np.arange(2 * S + 3) % 41 - 35,
-    "float32": _points(2 * S + 1).astype(np.float32),
-}
+# Every large point set is a view or a copy of XS: seeded points on [-30, 3]
+# with every 1009th an edge value in turn, so that each prefix of 2H points
+# or more holds every edge value in both halves.
+XS = np.random.default_rng(31).uniform(-30.0, 3.0, 3 * S + 17)
+XS[::1009] = np.resize(EDGE_VALUES, XS[::1009].size)
+XS.flags.writeable = False
+# the point sets with a cached reference: XS, its first 4099 points rounded
+# to float32, and the integers -35..5.  The last two are tiled, at periods
+# that divide no half or piece.
+POINT_SETS = {"float64": XS, "float32": XS[:4099].astype(np.float32), "int": np.arange(-35, 6)}
 
 
 def _evaluators():
@@ -183,30 +182,78 @@ def _evaluators():
         yield (lambda x, d=d: taylor_eval(d, x)), _kernels.taylor_kernel, d
 
 
-@pytest.mark.parametrize("name", BLOCKED_INPUTS)
-def test_blocked_evaluation_gives_the_bits_of_one_kernel_call(name):
-    xs = BLOCKED_INPUTS[name]
-    whole = np.asarray(xs, dtype=np.float64)
+EVALUATORS = list(_evaluators())
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """For each point set, each evaluator's operator-form kernel call on it, read-only.
+
+    IEEE ``+ - * /`` round each element on its own, so the same slice,
+    reshape or tiling of a reference is the reference of those points.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        for evaluate, kernel, arg in _evaluators():
-            _assert_same_bits(kernel(arg, whole), evaluate(xs))
+        wants = {key: [kernel(arg, np.asarray(xs, dtype=np.float64)) for _, kernel, arg in EVALUATORS]
+                 for key, xs in POINT_SETS.items()}
+    for want in itertools.chain(*wants.values()):
+        want.flags.writeable = False
+    return wants
+
+
+@pytest.fixture(params=("two threads", "in turn"))
+def halves(request, monkeypatch):
+    """Where the halves of a large array run, whatever the host's CPUs."""
+    monkeypatch.setattr(_cpus, "_decision", request.param == "two threads")
+    return request.param
+
+
+def _record(monkeypatch, *names, note=lambda *args: threading.current_thread().name):
+    """``note(*args)`` for each later call of each ``_kernels`` function in ``names``; by default the thread's name."""
+    notes = []
+    for name in names:
+        def record(*args, function=getattr(_kernels, name)):
+            notes.append(note(*args))
+            return function(*args)
+
+        monkeypatch.setattr(_kernels, name, record)
+    return notes
+
+
+# each case: a point set and a layout of it; the same layout of the set's
+# reference is the case's reference
+BLOCKED_INPUTS = {
+    **{f"size {n}": ("float64", lambda a, n=n: a[:n]) for n in (0, 1, S - 1, S, S + 1, 3 * S + 17)},
+    "shape (2, S+3)": ("float64", lambda a: a[:2 * (S + 3)].reshape(2, S + 3)),
+    "shape (S+5, 1)": ("float64", lambda a: a[:S + 5].reshape(S + 5, 1)),
+    "strided": ("float64", lambda a: a[::3]),
+    "Fortran-ordered": ("float64", lambda a: np.asfortranarray(a[:3 * (S + 1)].reshape(S + 1, 3))),
+    "int": ("int", lambda a: np.resize(a, 2 * S + 3)),
+    "float32": ("float32", lambda a: np.resize(a, 2 * S + 1)),
+}
+
+
+@pytest.mark.parametrize("name", BLOCKED_INPUTS)
+def test_blocked_evaluation_gives_the_bits_of_one_kernel_call(name, reference):
+    key, layout = BLOCKED_INPUTS[name]
+    xs = layout(POINT_SETS[key])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (evaluate, _, _), want in zip(EVALUATORS, reference[key]):
+            _assert_same_bits(layout(want), evaluate(xs))
 
 
 def test_a_float_point_gives_the_bits_of_its_blocked_array_entry():
-    xs = BLOCKED_INPUTS[f"size {3 * S + 17}"]
     # the edge values and the points either side of each boundary between
     # the halves and between their pieces, where two CPUs run them and where
     # one runs the whole array a piece at a time
-    h = xs.size // 16 * 8
-    cuts = {h, *range(P, xs.size, P), *range(h + P, xs.size, P)}
-    at = sorted({*np.flatnonzero(np.isin(xs, EDGE_VALUES) | np.isnan(xs)).tolist(),
+    h = XS.size // 16 * 8
+    cuts = {h, *range(P, XS.size, P), *range(h + P, XS.size, P)}
+    at = sorted({*np.flatnonzero(np.isin(XS, EDGE_VALUES) | np.isnan(XS)).tolist(),
                  *(i + j for i in cuts for j in (-1, 0))})
     with np.errstate(over="ignore", invalid="ignore"):
-        for evaluate, _, _ in _evaluators():
-            arr = evaluate(xs)
-            floats = [evaluate(x) for x in xs[at].tolist()]
+        for evaluate, _, _ in EVALUATORS:
+            floats = [evaluate(x) for x in XS[at].tolist()]
             assert all(type(v) is float for v in floats)
-            _assert_same_bits(floats, arr[at])
+            _assert_same_bits(floats, evaluate(XS)[at])
 
 
 # --- in-place evaluation on aligned work buffers ---------------------------
@@ -222,21 +269,33 @@ def _at_offset(xs, offset):
 
 @pytest.mark.parametrize("size", [S + 1, 3 * S + 17])
 def test_a_misaligned_input_gives_the_bits_of_an_aligned_copy(size):
-    xs = _points(size)
-    aligned, shifted = _at_offset(xs, 0), _at_offset(xs, 8)
+    aligned, shifted = _at_offset(XS[:size], 0), _at_offset(XS[:size], 8)
     with np.errstate(over="ignore", invalid="ignore"):
-        for evaluate, _, _ in _evaluators():
-            _assert_same_bits(evaluate(aligned).tolist(), evaluate(shifted))
+        for evaluate, _, _ in EVALUATORS:
+            _assert_same_bits(evaluate(aligned), evaluate(shifted))
+
+
+# the first half ends on a multiple of 8 points and each piece holds a
+# multiple of 8, so every slice of the result and every scratch row that a
+# step loop gets starts on a 64-byte boundary
+@pytest.mark.parametrize("size", [2 * H + 15, 3 * S + 17])
+def test_every_half_and_piece_starts_on_a_64_byte_boundary(halves, size, monkeypatch):
+    offsets = _record(monkeypatch, "_clenshaw_rows", "_taylor_rows",
+                      note=lambda arg, xs, work: [w.ctypes.data % 64 for w in work])
+    with np.errstate(over="ignore", invalid="ignore"):
+        clenshaw_eval(partial_sum(8), XS[:size])
+        taylor_eval(8, XS[:size])
+    assert len(offsets) >= 4 and all(o == [0, 0, 0, 0] for o in offsets), offsets
 
 
 def test_a_result_never_shares_memory_with_the_next():
     for size in (500, 2 * S + 1):
-        first = _points(size)
+        first = XS[:size]
         second = first[::-1].copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            for evaluate, _, _ in _evaluators():
+            for evaluate, _, _ in EVALUATORS:
                 a = evaluate(first)
-                kept = a.tolist()
+                kept = a.copy()
                 b = evaluate(second)
                 _assert_same_bits(kept, a)
                 assert not np.shares_memory(a, b)
@@ -244,21 +303,12 @@ def test_a_result_never_shares_memory_with_the_next():
 
 @pytest.mark.parametrize("size", [1, _kernels._PLAIN - 1, _kernels._PLAIN, 2 * P - 1, S - 1, S, 3 * S + 17])
 def test_an_array_runs_in_place_in_one_kernel_call(size, monkeypatch):
-    xs = _points(size)
-    seen = []
-
-    def recorder(kernel):
-        def record(arg, points, work=None):
-            seen.append((points.size, work))
-            return kernel(arg, points, work)
-        return record
-
-    for name in ("clenshaw_kernel", "taylor_kernel"):
-        monkeypatch.setattr(_kernels, name, recorder(getattr(_kernels, name)))
+    seen = _record(monkeypatch, "clenshaw_kernel", "taylor_kernel",
+                   note=lambda arg, points, work=None: (points.size, work))
     with np.errstate(over="ignore", invalid="ignore"):
-        for evaluate, _, _ in _evaluators():
+        for evaluate, _, _ in EVALUATORS:
             seen.clear()
-            result = evaluate(xs)
+            result = evaluate(XS[:size])
             # one call, on the whole array, with four buffers: the first the
             # result itself, the others of a clenshaw_kernel piece of each
             # half, or of the whole array where it runs at once; on 64-byte
@@ -274,19 +324,21 @@ def test_an_array_runs_in_place_in_one_kernel_call(size, monkeypatch):
                 assert w.ctypes.data % 64 == 0 or not aligned
 
 
-def test_two_threads_get_the_bits_of_sequential_calls():
-    # each thread evaluates an array in two halves and one run at once
-    inputs = [[_points(2 * S + 1), _points(500)], [-_points(2 * S + 1) - 1.0, -_points(500) - 1.0]]
-    evaluators = [evaluate for evaluate, _, _ in _evaluators()]
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = [[evaluate(xs).tolist() for xs in mine for evaluate in evaluators] for mine in inputs]
-    got = [None, None]
+def test_two_threads_get_the_bits_of_sequential_calls(reference):
+    # each thread evaluates an array in two halves and one run at once, and
+    # checks each result against the references computed in one thread
+    spans = [[slice(2 * S + 1), slice(500)], [slice(-2 * S - 1, None), slice(-500, None)]]
+    checked = [0, 0]
+    wants = reference["float64"]
     start = threading.Barrier(2, timeout=60)
 
     def run(i):
         start.wait()
         with np.errstate(over="ignore", invalid="ignore"):
-            got[i] = [evaluate(xs) for xs in inputs[i] for evaluate in evaluators]
+            for span in spans[i]:
+                for (evaluate, _, _), want in zip(EVALUATORS, wants):
+                    _assert_same_bits(want[span], evaluate(XS[span]))
+                    checked[i] += 1
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -299,40 +351,23 @@ def test_two_threads_get_the_bits_of_sequential_calls():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for i in range(2):
-        assert got[i] is not None and len(got[i]) == len(want[i])
-        for floats, arr in zip(want[i], got[i]):
-            _assert_same_bits(floats, arr)
+    assert checked == [2 * len(EVALUATORS)] * 2
 
 
 # --- the two halves of a large array ----------------------------------------
-# An array of at least 2 * _HALF_MIN points runs in two halves: the first in
-# a thread started for the call where the process may use two CPUs, else
-# both in the calling thread, one after the other.
-H = _kernels._HALF_MIN
-
-
-@pytest.fixture(params=("helper", "in turn"))
-def halves(request, monkeypatch):
-    """Where the halves of a large array run, whatever the host's CPUs."""
-    monkeypatch.setattr(_cpus, "_decision", request.param == "helper")
-    return request.param
-
-
 # the halves split at a multiple of 8 points, so the second may hold up to
 # 15 more: its pieces must fit the scratch rows too
 @pytest.mark.parametrize("size", [2 * H - 1, 2 * H, 2 * H + 1, 2 * H + 7, 2 * H + 9, 2 * H + 15,
                                   4 * P + 7, 2 * S + 1])
-def test_split_blocks_give_the_bits_of_one_kernel_call(halves, size, monkeypatch):
-    xs = _points(size)
-    threads = _record_row_threads(monkeypatch)
+def test_split_blocks_give_the_bits_of_one_kernel_call(halves, size, reference, monkeypatch):
+    threads = _record(monkeypatch, "_taylor_rows")
     with np.errstate(over="ignore", invalid="ignore"):
-        for evaluate, kernel, arg in _evaluators():
-            _assert_same_bits(kernel(arg, xs), evaluate(xs))
+        for (evaluate, _, _), want in zip(EVALUATORS, reference["float64"]):
+            _assert_same_bits(want[:size], evaluate(XS[:size]))
     # an array of 2H points or more starts a thread where two CPUs are usable
     here = threading.current_thread().name
-    split = halves == "helper" and size >= 2 * H
-    assert threads == ({here, "chebbound-kernels"} if split else {here})
+    split = halves == "two threads" and size >= 2 * H
+    assert set(threads) == ({here, "chebbound-kernels"} if split else {here})
 
 
 def test_overflow_under_the_cli_errstate_warns_nothing(halves):
@@ -353,12 +388,12 @@ def test_an_error_in_the_first_half_reaches_the_caller(halves):
         taylor_eval(64, xs)
     # the next call splits again
     with np.errstate(over="ignore", invalid="ignore"):
-        _assert_same_bits(_kernels.taylor_kernel(64, xs), taylor_eval(64, xs))
+        _assert_same_bits(np.repeat(_kernels.taylor_kernel(64, xs[::S]), S), taylor_eval(64, xs))
 
 
 def test_an_interrupted_join_leaves_later_arrays_split(monkeypatch):
     monkeypatch.setattr(_cpus, "_decision", True)
-    xs, n = _points(2 * S), 33
+    xs, n = XS[:2 * S], 33
     # the started thread's first half waits until the caller's join is
     # interrupted
     interrupted, taylor_rows = threading.Event(), _kernels._taylor_rows
@@ -383,11 +418,11 @@ def test_an_interrupted_join_leaves_later_arrays_split(monkeypatch):
         signal.signal(signal.SIGALRM, old)
     assert interrupted.is_set()
     # the next large evaluation runs its first half in a thread of its own
-    threads = _record_row_threads(monkeypatch)
+    threads = _record(monkeypatch, "_taylor_rows")
     with np.errstate(over="ignore", invalid="ignore"):
         got = taylor_eval(n, xs)
         _assert_same_bits(_kernels.taylor_kernel(n, xs), got)
-    assert len(threads) == 2 and threading.current_thread().name in threads
+    assert set(threads) == {threading.current_thread().name, "chebbound-kernels"}
 
 
 def test_an_error_callback_hears_the_first_half(halves):
@@ -419,12 +454,12 @@ with np.errstate(over="call", invalid="ignore", call=call):
     taylor_eval(64, np.repeat([-1e300, -2.0], 131072))
 [(name, got)] = heard
 assert name.startswith("chebbound-kernels"), name
-assert got.view(np.uint64).tolist() == _kernels.taylor_kernel(8, inner).view(np.uint64).tolist()
+assert np.array_equal(got.view(np.uint64), _kernels.taylor_kernel(8, inner).view(np.uint64))
 print("ok")
 """
 
 
-def test_an_error_callback_in_the_helper_evaluates_a_large_array():
+def test_an_error_callback_in_the_started_thread_evaluates_a_large_array():
     proc = subprocess.run([sys.executable, "-c", REENTRY], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
@@ -438,7 +473,7 @@ import numpy as np
 from chebbound import _cpus, _kernels, taylor_eval
 _cpus._decision = True
 xs = np.linspace(-30.0, 3.0, 262144)
-want = _kernels.taylor_kernel(33, xs).view(np.uint64).tolist()
+want = _kernels.taylor_kernel(33, xs).view(np.uint64)
 start = threading.Thread.start
 
 def fail(self):
@@ -457,7 +492,7 @@ def record(*args):
 _kernels._taylor_rows = record
 got.append(taylor_eval(33, xs))
 assert names == {threading.current_thread().name, "chebbound-kernels"}, names
-assert all(g.view(np.uint64).tolist() == want for g in got)
+assert all(np.array_equal(g.view(np.uint64), want) for g in got)
 print("ok")
 """
 
@@ -469,8 +504,8 @@ def test_a_thread_that_fails_to_start_leaves_the_array_to_the_caller():
 
 def test_no_kernel_thread_outlives_its_call(monkeypatch):
     monkeypatch.setattr(_cpus, "_decision", True)
-    xs = _points(2 * S + 1)
-    threads = _record_row_threads(monkeypatch)
+    xs = XS[:2 * S + 1]
+    threads = _record(monkeypatch, "_taylor_rows")
     with np.errstate(over="ignore", invalid="ignore"):
         for evaluate in (lambda: clenshaw_eval(partial_sum(8), xs), lambda: taylor_eval(8, xs)):
             evaluate()
@@ -481,15 +516,9 @@ def test_no_kernel_thread_outlives_its_call(monkeypatch):
 
 def test_an_array_makes_one_hand_off(monkeypatch):
     monkeypatch.setattr(_cpus, "_decision", True)
-    handed, first_half = [], _kernels._first_half
-
-    def record(err, call, errors, rows, *args):
-        # the step loop of each started thread
-        handed.append(rows)
-        first_half(err, call, errors, rows, *args)
-
-    monkeypatch.setattr(_kernels, "_first_half", record)
-    xs = _points(2 ** 21)
+    # the step loop of each started thread
+    handed = _record(monkeypatch, "_first_half", note=lambda err, call, errors, rows, *args: rows)
+    xs = np.resize(XS, 2 ** 21)
     with np.errstate(over="ignore", invalid="ignore"):
         for evaluate, rows in ((lambda x: clenshaw_eval(partial_sum(36), x), "_clenshaw_rows"),
                                (lambda x: eval_T(36, x), "_clenshaw_rows"),
@@ -504,15 +533,9 @@ def test_the_buffers_go_with_their_call(halves, monkeypatch):
     # the started thread ends, and lets go of an array's buffers, before its
     # call returns, so no buffer outlives its call of evaluate to lie beside
     # the next call's
-    buffers, rows = [], _kernels._taylor_rows
-
-    def record(n, xs, work):
-        buffers.append(weakref.ref(work[0].base))
-        rows(n, xs, work)
-
-    monkeypatch.setattr(_kernels, "_taylor_rows", record)
+    buffers = _record(monkeypatch, "_taylor_rows", note=lambda n, xs, work: weakref.ref(work[0].base))
     with np.errstate(over="ignore", invalid="ignore"):
-        taylor_eval(33, _points(2 * S))
+        taylor_eval(33, XS[:2 * S])
     assert buffers and all(ref() is None for ref in buffers)
 
 
@@ -520,44 +543,24 @@ def test_every_kernel_call_stays_in_the_calling_thread(monkeypatch):
     # the benchmark's tracer wraps the module's kernels with one span stack;
     # the started thread runs only the private step loops
     monkeypatch.setattr(_cpus, "_decision", True)
-    seen = {}
-
-    def recorder(name, function):
-        def record(*args, **kwargs):
-            seen.setdefault(name, set()).add(threading.current_thread().name)
-            return function(*args, **kwargs)
-        return record
-
-    for name in ("evaluate", "clenshaw_kernel", "taylor_kernel", "taylor_bracket",
-                 "_clenshaw_rows", "_taylor_rows"):
-        monkeypatch.setattr(_kernels, name, recorder(name, getattr(_kernels, name)))
-    xs = _points(2 * S + 1)
+    seen = {name: _record(monkeypatch, name) for name in ("evaluate", "clenshaw_kernel", "taylor_kernel",
+                                                          "taylor_bracket", "_clenshaw_rows", "_taylor_rows")}
+    xs = XS[:2 * S + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         clenshaw_eval(partial_sum(8), xs)
         taylor_eval(8, xs)
+    seen = {name: set(threads) for name, threads in seen.items() if threads}
     here = threading.current_thread().name
-    [helper] = seen["_taylor_rows"] - {here}
-    assert helper.startswith("chebbound-kernels")
+    [started] = seen["_taylor_rows"] - {here}
+    assert started.startswith("chebbound-kernels")
     assert seen == {"evaluate": {here}, "clenshaw_kernel": {here}, "taylor_kernel": {here},
-                    "_clenshaw_rows": {here, helper}, "_taylor_rows": {here, helper}}
-
-
-def _record_row_threads(monkeypatch):
-    """The names of the threads that run ``_taylor_rows`` from now on."""
-    threads, rows = set(), _kernels._taylor_rows
-
-    def record(*args):
-        threads.add(threading.current_thread().name)
-        rows(*args)
-
-    monkeypatch.setattr(_kernels, "_taylor_rows", record)
-    return threads
+                    "_clenshaw_rows": {here, started}, "_taylor_rows": {here, started}}
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_a_forked_child_starts_its_own_helper(monkeypatch):
+def test_a_forked_child_decides_its_cpus_afresh(monkeypatch):
     monkeypatch.setattr(_cpus, "_decision", True)
-    xs, s = _points(2 * S), partial_sum(40)
+    xs, s = XS[:2 * S], partial_sum(40)
     with np.errstate(over="ignore", invalid="ignore"):
         want = clenshaw_eval(s, xs)
     with warnings.catch_warnings():
@@ -607,20 +610,13 @@ ZERO_POINTS += (np.random.default_rng(29).choice((-1.0, 1.0), 53)
                 * 10.0 ** np.random.default_rng(30).uniform(-320.0, 10.0, 53)).tolist()
 
 
-@pytest.mark.parametrize("size", [1, 2 * H, S + 1])
+# 64 points run at once; at 2H and 4P+7 points each point lies in both
+# halves of a split array, and at 4P+7 in two full pieces of each
+@pytest.mark.parametrize("size", [len(ZERO_POINTS), 2 * H, 4 * P + 7])
 def test_skipped_zero_adds_keep_every_bit(halves, size):
     assert "[-0.0, 0.0]" in map(repr, ZERO_SERIES)
-    # each point lies in both halves of a split array and in several pieces
-    at = np.arange(size) % len(ZERO_POINTS)
-    xs = np.array(ZERO_POINTS)[at]
+    xs = np.resize(ZERO_POINTS, size)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for coeffs in ZERO_SERIES:
-            series = ChebSeries(coeffs)
-            want = np.array([_kernels.clenshaw_kernel(coeffs, x) for x in ZERO_POINTS])
-            if size == 1:
-                got = np.array([clenshaw_eval(series, np.array([x]))[0] for x in ZERO_POINTS])
-            else:
-                want, got = want[at], clenshaw_eval(series, xs)
-            # as integers, so -0.0 and +0.0 differ
-            assert np.array_equal(np.isnan(want), np.isnan(got)), coeffs
-            assert np.array_equal(want[~np.isnan(want)].view(np.uint64), got[~np.isnan(got)].view(np.uint64)), coeffs
+            want = np.resize(_kernels.clenshaw_kernel(coeffs, xs[:len(ZERO_POINTS)]), size)
+            _assert_same_bits(want, clenshaw_eval(ChebSeries(coeffs), xs))
